@@ -1,20 +1,14 @@
-// Microbenchmark: parallel restart redo and follower catch-up.
+// Microbenchmark: follower catch-up.
 //
-// Three measurements, all against the simulated page device with a
-// realistic per-I/O latency (DESIGN.md §2) so redo cost is I/O-shaped:
-//   1. Raw RedoApplier::ApplyAll over a synthetic update batch at
-//      worker counts 1/2/4/8 — the partitioned redo scan's scaling
-//      (per-page LSN order preserved; see wal/redo_applier.h).
-//   2. End-to-end OpenDatabase restart of a database whose WAL carries
-//      every committed mutation since the setup checkpoint, serial vs
-//      4 redo workers — what a real restart saves.
-//   3. Follower catch-up: draining the same log into a bootstrapped
-//      follower in flush-chunk units — the log-shipping apply rate.
+// Drains a log of committed mutations into a follower bootstrapped from
+// the checkpoint-time images, in flush-chunk units, against the
+// simulated page device with a realistic per-I/O latency (DESIGN.md §2)
+// — the log-shipping apply rate a late-attached or restarted follower
+// sees.
 //
 //   ./bench/micro_recovery            full run, human-readable table
 //   ./bench/micro_recovery --smoke    quick CI run; exits non-zero if
-//                                     4-worker redo speedup < 2x or any
-//                                     phase loses data
+//                                     the follower loses a commit
 //   ./bench/micro_recovery --json     machine-readable results
 //                                     (committed as BENCH_replication.json)
 
@@ -31,8 +25,6 @@
 #include "repl/log_shipper.h"
 #include "storage/page_file.h"
 #include "tamix/bib_generator.h"
-#include "wal/recovery.h"
-#include "wal/redo_applier.h"
 #include "wal/wal.h"
 
 using namespace xtc;
@@ -40,9 +32,8 @@ using namespace xtc::bench;
 
 namespace {
 
-// >= 50 us so the device model sleeps (not spins): sleeping overlaps
-// across redo workers even on a single hardware core, the way real
-// in-flight disk requests do.
+// >= 50 us so the device model sleeps (not spins), the way a real
+// in-flight disk request waits.
 constexpr uint32_t kIoLatencyUs = 100;
 
 double Seconds(std::chrono::steady_clock::duration d) {
@@ -54,53 +45,7 @@ void Die(const char* what, const Status& status) {
   std::exit(1);
 }
 
-// --- 1. Raw partitioned redo --------------------------------------------
-
-struct ApplyResult {
-  double secs = 0;
-  uint64_t pages_redone = 0;
-};
-
-/// `records` update records round-robining over `pages` distinct pages,
-/// each carrying one full-page image (the WAL's physical redo unit).
-std::vector<WalRecord> SyntheticBatch(int records, int pages,
-                                      uint32_t page_size) {
-  std::vector<WalRecord> batch;
-  batch.reserve(static_cast<size_t>(records));
-  Lsn lsn = 16;
-  for (int i = 0; i < records; ++i) {
-    const Lsn end = lsn + page_size;
-    WalRecord r;
-    r.type = WalRecordType::kUpdate;
-    r.lsn = lsn;
-    r.end_lsn = end;
-    std::string bytes(page_size, static_cast<char>('a' + i % 26));
-    std::memcpy(bytes.data() + kPageLsnOffset, &end, sizeof(end));
-    r.pages.push_back(
-        WalPageImage{static_cast<PageId>(1 + i % pages), std::move(bytes)});
-    batch.push_back(std::move(r));
-    lsn = end;
-  }
-  return batch;
-}
-
-ApplyResult TimeApplyAll(const std::vector<WalRecord>& batch, int workers) {
-  StorageOptions options;
-  options.page_size = 512;
-  options.io_latency_us = kIoLatencyUs;
-  PageFile file(options);
-  FilePageSink sink(&file);
-  RedoApplier redo(&sink);
-  const auto start = std::chrono::steady_clock::now();
-  Status st = redo.ApplyAll(batch, 0, workers);
-  if (!st.ok()) Die("ApplyAll", st);
-  ApplyResult result;
-  result.secs = Seconds(std::chrono::steady_clock::now() - start);
-  result.pages_redone = redo.stats().pages_redone;
-  return result;
-}
-
-// --- 2/3. A database with a long since-checkpoint redo distance ---------
+// --- A database with a long since-checkpoint log ---------------------
 
 struct Artifacts {
   StorageOptions storage;
@@ -113,8 +58,8 @@ struct Artifacts {
 Artifacts BuildLoggedDatabase(int commits) {
   Artifacts a;
   // A modest document with a generous pool: the base image loads once,
-  // so the restart cost is dominated by the since-checkpoint redo scan
-  // (the thing being measured), not pool thrash.
+  // so the catch-up cost is dominated by applying the since-checkpoint
+  // log (the thing being measured), not pool thrash.
   a.storage.buffer_pool_pages = 4096;
   a.storage.io_latency_us = kIoLatencyUs;
   Document doc(a.storage);
@@ -128,7 +73,7 @@ Artifacts BuildLoggedDatabase(int commits) {
   a.checkpoint_log = wal.DurableImage();
 
   // Committed renames scattered across the document: each logs a page
-  // image the restart must redo (the disk stays at the checkpoint).
+  // image the follower must apply (the disk stays at the checkpoint).
   const char* names[] = {"chapter", "author", "lend", "person"};
   const NameSurrogate renamed = doc.vocabulary().Intern("bench-renamed");
   for (int i = 0; i < commits; ++i) {
@@ -155,26 +100,6 @@ Artifacts BuildLoggedDatabase(int commits) {
   }
   a.log = wal.DurableImage();
   return a;
-}
-
-struct OpenTiming {
-  double secs = 0;
-  uint64_t records_redone = 0;
-  uint64_t commits = 0;
-};
-
-OpenTiming TimeOpen(const Artifacts& a, int workers) {
-  RecoveryOptions recovery;
-  recovery.redo_workers = workers;
-  const auto start = std::chrono::steady_clock::now();
-  auto opened = OpenDatabase(a.storage, WalOptions{}, a.checkpoint_disk, a.log,
-                             2, nullptr, recovery);
-  if (!opened.ok()) Die("OpenDatabase", opened.status());
-  OpenTiming t;
-  t.secs = Seconds(std::chrono::steady_clock::now() - start);
-  t.records_redone = opened->stats.records_redone;
-  t.commits = opened->committed.size();
-  return t;
 }
 
 struct CatchUp {
@@ -215,99 +140,35 @@ CatchUp TimeCatchUp(const Artifacts& a, uint64_t chunk_bytes) {
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
   const bool json = argc > 1 && std::strcmp(argv[1], "--json") == 0;
-
-  const int raw_records = smoke ? 1200 : 4000;
-  const int raw_pages = 192;
   const int commits = smoke ? 120 : 400;
 
-  if (!json) {
-    PrintHeader("micro_recovery",
-                "parallel restart redo and follower catch-up");
-  }
+  if (!json) PrintHeader("micro_recovery", "follower catch-up");
 
-  // 1. Raw partitioned redo.
-  const std::vector<WalRecord> batch =
-      SyntheticBatch(raw_records, raw_pages, 512);
-  const int worker_counts[] = {1, 2, 4, 8};
-  ApplyResult apply[4];
-  for (int i = 0; i < 4; ++i) {
-    apply[i] = TimeApplyAll(batch, worker_counts[i]);
-    if (apply[i].pages_redone != apply[0].pages_redone) {
-      std::fprintf(stderr, "FAIL: worker count changed redo work\n");
-      return 1;
-    }
-  }
-  const double speedup4 = apply[2].secs == 0 ? 0 : apply[0].secs / apply[2].secs;
-
-  // 2. End-to-end restart.
   const Artifacts artifacts = BuildLoggedDatabase(commits);
-  const OpenTiming open1 = TimeOpen(artifacts, 1);
-  const OpenTiming open4 = TimeOpen(artifacts, 4);
-  if (open1.commits != artifacts.commits || open4.commits != artifacts.commits) {
-    std::fprintf(stderr, "FAIL: restart lost commits (%llu/%llu vs %llu)\n",
-                 static_cast<unsigned long long>(open1.commits),
-                 static_cast<unsigned long long>(open4.commits),
-                 static_cast<unsigned long long>(artifacts.commits));
-    return 1;
-  }
-  const double open_speedup = open4.secs == 0 ? 0 : open1.secs / open4.secs;
-
-  // 3. Follower catch-up.
   const CatchUp catch_up = TimeCatchUp(artifacts, 4096);
   if (catch_up.commits_applied != artifacts.commits) {
-    std::fprintf(stderr, "FAIL: catch-up lost commits\n");
+    std::fprintf(stderr, "FAIL: catch-up lost commits (%llu of %llu)\n",
+                 static_cast<unsigned long long>(catch_up.commits_applied),
+                 static_cast<unsigned long long>(artifacts.commits));
     return 1;
   }
 
   if (json) {
-    std::printf("{\n  \"benchmark\": \"micro_recovery parallel redo\",\n");
+    std::printf("{\n  \"benchmark\": \"micro_recovery follower catch-up\",\n");
     std::printf("  \"io_latency_us\": %u,\n", kIoLatencyUs);
-    std::printf("  \"redo_records\": %d,\n", raw_records);
-    std::printf("  \"redo_distinct_pages\": %d,\n", raw_pages);
-    for (int i = 0; i < 4; ++i) {
-      std::printf("  \"apply_all_ms_%dw\": %.1f,\n", worker_counts[i],
-                  apply[i].secs * 1000.0);
-    }
-    std::printf("  \"apply_all_speedup_4w\": %.2f,\n", speedup4);
-    std::printf("  \"restart_commits\": %llu,\n",
+    std::printf("  \"catchup_commits\": %llu,\n",
                 static_cast<unsigned long long>(artifacts.commits));
-    std::printf("  \"restart_records_redone\": %llu,\n",
-                static_cast<unsigned long long>(open4.records_redone));
-    std::printf("  \"open_ms_1w\": %.1f,\n", open1.secs * 1000.0);
-    std::printf("  \"open_ms_4w\": %.1f,\n", open4.secs * 1000.0);
-    std::printf("  \"open_speedup_4w\": %.2f,\n", open_speedup);
     std::printf("  \"catchup_log_bytes\": %llu,\n",
                 static_cast<unsigned long long>(catch_up.log_bytes));
     std::printf("  \"catchup_ms\": %.1f,\n", catch_up.secs * 1000.0);
     std::printf("  \"catchup_mib_per_sec\": %.1f\n}\n", catch_up.mib_per_sec);
   } else {
-    std::printf("\nraw partitioned redo: %d records over %d pages, "
-                "%u us/io\n",
-                raw_records, raw_pages, kIoLatencyUs);
-    for (int i = 0; i < 4; ++i) {
-      std::printf("  %d worker(s): %7.1f ms  (%.2fx)\n", worker_counts[i],
-                  apply[i].secs * 1000.0,
-                  apply[i].secs == 0 ? 0 : apply[0].secs / apply[i].secs);
-    }
-    std::printf("\nend-to-end restart: %llu commits, %llu records redone\n",
-                static_cast<unsigned long long>(artifacts.commits),
-                static_cast<unsigned long long>(open4.records_redone));
-    std::printf("  1 worker:  %7.1f ms\n", open1.secs * 1000.0);
-    std::printf("  4 workers: %7.1f ms  (%.2fx)\n", open4.secs * 1000.0,
-                open_speedup);
-    std::printf("\nfollower catch-up: %llu log bytes, %llu commits\n",
+    std::printf("\nfollower catch-up: %llu log bytes, %llu commits, %u us/io\n",
                 static_cast<unsigned long long>(catch_up.log_bytes),
-                static_cast<unsigned long long>(catch_up.commits_applied));
+                static_cast<unsigned long long>(catch_up.commits_applied),
+                kIoLatencyUs);
     std::printf("  %7.1f ms  (%.1f MiB/s applied)\n", catch_up.secs * 1000.0,
                 catch_up.mib_per_sec);
-  }
-
-  if (smoke && speedup4 < 2.0) {
-    std::fprintf(stderr,
-                 "FAIL: 4-worker redo speedup %.2fx < 2x — the partitioned "
-                 "scan is not overlapping page I/O\n",
-                 speedup4);
-    return 1;
   }
   return 0;
 }

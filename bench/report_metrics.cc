@@ -6,14 +6,16 @@
 //   ./bench/report_metrics [protocol] [--replicated]  (default taDOM3+)
 //
 // --replicated attaches a log-shipping follower (DESIGN.md §7) for the
-// run and adds the replication counters to the report.
+// run and adds the replication counters to the report. It is the pair
+// campaign's observer: a seed whose pair rotation names crash.apply
+// (seed % 5 == 4) kills and restarts the follower once.
 
 #include <cstdio>
 #include <cstring>
 
 #include "bench_common.h"
 #include "node/document.h"
-#include "repl/repl_harness.h"
+#include "fuzz/campaign.h"
 #include "tamix/bib_generator.h"
 
 using namespace xtc;
@@ -35,9 +37,7 @@ int main(int argc, char** argv) {
   config.protocol = protocol;
   config.isolation = IsolationLevel::kRepeatable;
   config.lock_depth = 5;
-  PairReplicationObserver::Options obs;
-  obs.seed = config.seed;
-  PairReplicationObserver observer(obs);
+  PairReplicationObserver observer(config.seed);
   if (replicated) {
     config.wal = WalMode::kEnabled;
     config.replication = &observer;

@@ -3,8 +3,8 @@
 // dropping connections, truncating or duplicating chunks, delaying
 // delivery, cutting or stalling the stream at exact byte offsets. This
 // is the wire-level analogue of the FaultInjector: the same seed and
-// plan produce the same sequence of injuries, so a failing netfuzz seed
-// replays exactly.
+// plan produce the same sequence of injuries, so a failing net-campaign
+// seed replays exactly.
 //
 // Two kinds of injury:
 //   * Probabilistic, per forwarded chunk (drop / truncate / delay /

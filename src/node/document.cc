@@ -902,7 +902,7 @@ Status Document::Validate() const {
     }
     XTC_RETURN_IF_ERROR(it.status());
   }
-  uint64_t element_entries = 0;
+  uint64_t actual_elements = 0;
   uint64_t id_entries = 0;
   for (const auto& [splid, rec] : all) {
     // Parent must exist (except for the root).
@@ -922,10 +922,10 @@ Status Document::Validate() const {
           return Status::Internal("element under non-element at " +
                                   splid.ToString());
         }
-        // Element index must know this element.
-        if (!elements_->List(rec.name).empty()) {
-          ++element_entries;
+        if (!elements_->Contains(rec.name, splid)) {
+          return Status::Internal("element index misses " + splid.ToString());
         }
+        ++actual_elements;
         break;
       case NodeKind::kAttributeRoot:
         if (splid.LastDivision() != kAttributeDivision ||
@@ -972,10 +972,6 @@ Status Document::Validate() const {
     }
   }
   // Exact index cardinalities.
-  uint64_t actual_elements = 0;
-  for (const auto& [splid, rec] : all) {
-    if (rec.kind == NodeKind::kElement) ++actual_elements;
-  }
   if (elements_->size() != actual_elements) {
     return Status::Internal("element index cardinality mismatch");
   }

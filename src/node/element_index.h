@@ -28,6 +28,9 @@ class ElementIndex {
   /// All elements with this name, in document order.
   std::vector<Splid> List(NameSurrogate name) const;
 
+  /// Whether the index holds this (name, element) entry.
+  bool Contains(NameSurrogate name, const Splid& splid) const;
+
   /// The index-th element with this name (document order), if any.
   std::optional<Splid> Nth(NameSurrogate name, size_t index) const;
 

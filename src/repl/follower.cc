@@ -252,8 +252,7 @@ StatusOr<std::vector<Node>> Follower::ReadSubtree(const Splid& root,
 }
 
 StatusOr<OpenResult> Follower::Promote(const StorageOptions& storage,
-                                       const WalOptions& wal_options,
-                                       const RecoveryOptions& recovery) {
+                                       const WalOptions& wal_options) {
   WriterMutexLock lock(mu_);
   if (promoted_) return Status::InvalidArgument("follower: already promoted");
   if (crashed()) {
@@ -270,7 +269,7 @@ StatusOr<OpenResult> Follower::Promote(const StorageOptions& storage,
   XTC_ASSIGN_OR_RETURN(std::string log, Wal::SanitizeImage(log_));
   StatusOr<OpenResult> opened =
       OpenDatabase(storage, wal_options, doc_->page_file().CloneImage(), log,
-                   options_.dist, nullptr, recovery);
+                   options_.dist);
   if (opened.ok()) promoted_ = true;
   return opened;
 }

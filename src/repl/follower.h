@@ -127,14 +127,12 @@ class Follower {
   // --- failover ----------------------------------------------------------
 
   /// Promotes the follower: flush the pool, sanitize the local log, and
-  /// run restart recovery (losers roll back; parallel redo honoured via
-  /// `recovery.redo_workers`). `storage`/`wal_options` configure the
-  /// *new primary* — pass a fresh (or no) crash switch. The follower
-  /// must not itself be crashed (restart it first). The follower is
-  /// consumed: further Ingest calls fail.
+  /// run restart recovery (losers roll back). `storage`/`wal_options`
+  /// configure the *new primary* — pass a fresh (or no) crash switch.
+  /// The follower must not itself be crashed (restart it first). The
+  /// follower is consumed: further Ingest calls fail.
   StatusOr<OpenResult> Promote(const StorageOptions& storage,
-                               const WalOptions& wal_options,
-                               const RecoveryOptions& recovery = {})
+                               const WalOptions& wal_options)
       XTC_EXCLUDES(mu_);
 
   // --- crash artifacts / introspection -----------------------------------

@@ -196,6 +196,9 @@ void BufferManager::Free(PageId id) {
     table_.erase(it);
     break;
   }
+  // A page freed mid-operation has no after-image to log: the pages that
+  // referenced it carry the change.
+  capture_.erase(id);
   file_->Free(id);
 }
 

@@ -578,8 +578,9 @@ StatusOr<RunStats> RunCluster1(const RunConfig& config, ChaosReport* report) {
         report->injected_faults = bed->faults->total_injections();
         report->injection_log = bed->faults->InjectionLog();
       }
-      // The durable log of the *surviving* run, so callers (netfuzz) can
-      // check client-observed outcomes against WAL truth without a crash.
+      // The durable log of the *surviving* run, so callers (the net
+      // fault campaign) can check client-observed outcomes against WAL
+      // truth without a crash.
       if (bed->wal != nullptr) report->log_image = bed->wal->DurableImage();
     }
     if (config.isolation == IsolationLevel::kSerializable) {

@@ -24,8 +24,7 @@ StatusOr<OpenResult> OpenDatabase(const StorageOptions& storage,
                                   const WalOptions& wal_options,
                                   const PageFileImage& disk_image,
                                   const std::string& log_image, uint32_t dist,
-                                  CrashArtifacts* crash_artifacts,
-                                  const RecoveryOptions& recovery) {
+                                  CrashArtifacts* crash_artifacts) {
   OpenResult result;
 
   // Fresh database: nothing stored, nothing logged.
@@ -119,7 +118,7 @@ StatusOr<OpenResult> OpenDatabase(const StorageOptions& storage,
   };
   FilePageSink sink(&file);
   RedoApplier redo(&sink);
-  Status redo_st = redo.ApplyAll(records, redo_start, recovery.redo_workers);
+  Status redo_st = redo.ApplyAll(records, redo_start);
   if (!redo_st.ok()) return redo_failed(redo_st.Annotate("recovery redo"));
   const uint64_t records_redone = redo.stats().records_redone;
   const uint64_t pages_redone = redo.stats().pages_redone;

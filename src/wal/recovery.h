@@ -64,13 +64,6 @@ struct OpenResult {
   std::vector<RecoveredCommit> committed;  // ascending commit seq
 };
 
-struct RecoveryOptions {
-  /// Redo worker pool size (>1 partitions the redo scan by page id;
-  /// per-page LSN order is preserved — see wal/redo_applier.h). The
-  /// analysis and undo passes stay single-threaded.
-  int redo_workers = 1;
-};
-
 /// Opens (or recovers) a database from crash images. Empty images mean a
 /// fresh database. `storage`/`wal_options` carry the *new* instance's
 /// fault injector and crash switch — pass a fresh (or no) CrashSwitch,
@@ -82,8 +75,7 @@ StatusOr<OpenResult> OpenDatabase(const StorageOptions& storage,
                                   const PageFileImage& disk_image,
                                   const std::string& log_image,
                                   uint32_t dist = 2,
-                                  CrashArtifacts* crash_artifacts = nullptr,
-                                  const RecoveryOptions& recovery = {});
+                                  CrashArtifacts* crash_artifacts = nullptr);
 
 }  // namespace xtc
 

@@ -209,6 +209,27 @@ TEST(BufferManagerDeathTest, FreeOfPinnedPageFailsLoudly) {
   EXPECT_DEATH(bm.Free(g->id()), "XTC_CHECK failed.*Free of a pinned page");
 }
 
+TEST(BufferManagerTest, FreedPageLeavesTheCaptureSet) {
+  // The WAL logs an after-image of every captured page; a page freed
+  // inside the scope is gone from the pool and must not be among them.
+  StorageOptions options = SmallPool();
+  PageFile file(options);
+  BufferManager bm(&file, options);
+  bm.BeginCapture();
+  PageId kept = kInvalidPageId;
+  PageId freed = kInvalidPageId;
+  {
+    auto a = bm.New();
+    auto b = bm.New();
+    ASSERT_TRUE(a.ok() && b.ok());
+    kept = a->id();
+    freed = b->id();
+  }
+  bm.Free(freed);
+  EXPECT_EQ(bm.CapturedPages(), std::vector<PageId>{kept});
+  bm.EndCapture();
+}
+
 TEST(BufferManagerTest, ConcurrentMissesOnSamePageCoalesceToOneRead) {
   StorageOptions options = SmallPool();
   options.io_latency_us = 200;  // widen the in-flight window

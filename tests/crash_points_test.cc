@@ -1,7 +1,7 @@
 // Anti-drift check for the hard-kill catalogue: AllCrashPoints() must
 // be exactly the "crash."-prefixed subset of AllFaultPoints(), every
-// kill point must be documented in docs/robustness.md, and the paired
-// harness's seed rotation must cover each one. Adding a kill site to
+// kill point must be documented in docs/robustness.md, and the pair
+// campaign's seed rotation must cover each one. Adding a kill site to
 // the code without wiring it into the docs and the rotation (or vice
 // versa) fails here.
 
@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "repl/repl_harness.h"
+#include "fuzz/campaign.h"
 #include "util/fault_injector.h"
 
 namespace xtc {
@@ -55,7 +55,7 @@ TEST(CrashPointsTest, CrashPointsAreTheCrashPrefixedFaultPoints) {
   for (std::string_view p : AllCrashPoints()) actual.emplace(p);
   EXPECT_EQ(actual, expected);
   EXPECT_EQ(actual.size(), 5u)
-      << "update the paired-harness rotation, docs/robustness.md and this "
+      << "update the pair-campaign rotation, docs/robustness.md and this "
          "count together when adding a kill site";
 }
 
@@ -75,8 +75,8 @@ TEST(CrashPointsTest, PairRotationCoversEveryCrashPoint) {
   std::set<std::string> armed;
   size_t follower_kills = 0;
   for (uint64_t seed = 0; seed < points.size(); ++seed) {
-    const RunConfig config = DefaultPairRunConfig(seed);
-    if (PairSeedKillsFollower(seed)) {
+    const RunConfig config = CampaignRunConfig(Campaign::kPair, seed);
+    if (SeedInjury(Campaign::kPair, seed) == fault_points::kCrashApply) {
       ++follower_kills;
       EXPECT_TRUE(config.faults.points.empty())
           << "follower-kill seeds must leave the primary's plan empty";

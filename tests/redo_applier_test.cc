@@ -1,7 +1,4 @@
-// RedoApplier unit tests: conditioned page redo through both sinks,
-// torn-page repair, and the parallel partitioned mode (per-page LSN
-// order must hold for any worker count, and every pool size must
-// produce a byte-identical store).
+// RedoApplier unit tests: conditioned page redo and torn-page repair.
 
 #include <cstring>
 #include <string>
@@ -100,74 +97,6 @@ TEST(RedoApplierTest, TornStoredPageIsRepairedUnconditionally) {
   ASSERT_TRUE(applied.ok()) << applied.status().message();
   EXPECT_TRUE(*applied);
   EXPECT_EQ(TagOf(&file, 1), 'R');
-}
-
-TEST(RedoApplierTest, ParallelModeMatchesSerialByteForByte) {
-  // A batch with long per-page chains and shared pages across records:
-  // any worker count must land the same final bytes (last image per
-  // page wins, because per-page chains apply in log order).
-  std::vector<WalRecord> records;
-  Lsn lsn = 16;
-  for (int round = 0; round < 8; ++round) {
-    for (PageId id = 1; id <= 13; ++id) {
-      const Lsn end = lsn + 100;
-      records.push_back(UpdateRecord(
-          lsn, end, {{id, static_cast<char>('a' + (round + id) % 26)}}));
-      lsn = end;
-    }
-  }
-
-  auto run = [&](int workers, Lsn redo_start) {
-    StorageOptions options;
-    options.page_size = kPageSize;
-    PageFile file(options);
-    FilePageSink sink(&file);
-    RedoApplier redo(&sink);
-    Status st = redo.ApplyAll(records, redo_start, workers);
-    EXPECT_TRUE(st.ok()) << st.message();
-    EXPECT_EQ(redo.stats().workers, std::max(workers, 1));
-    std::string tags;
-    for (PageId id = 1; id <= 13; ++id) tags.push_back(TagOf(&file, id));
-    return std::make_pair(tags, redo.stats());
-  };
-
-  const auto [serial_tags, serial_stats] = run(1, 0);
-  for (int workers : {2, 4, 8}) {
-    const auto [tags, stats] = run(workers, 0);
-    EXPECT_EQ(tags, serial_tags) << "workers=" << workers;
-    EXPECT_EQ(stats.pages_redone, serial_stats.pages_redone);
-    EXPECT_EQ(stats.pages_skipped, serial_stats.pages_skipped);
-  }
-
-  // redo_start filters by record LSN: starting after round 0 must skip
-  // its records entirely (here: everything is re-written later anyway,
-  // so the final bytes still match).
-  const auto [late_tags, late_stats] = run(4, records[13].lsn);
-  EXPECT_EQ(late_tags, serial_tags);
-  EXPECT_LT(late_stats.pages_redone + late_stats.pages_skipped,
-            serial_stats.pages_redone + serial_stats.pages_skipped);
-}
-
-TEST(RedoApplierTest, ParallelPreservesPerPageLsnOrder) {
-  // Three images of one page in one batch: the final store must carry
-  // the *last* image no matter the pool size — a worker applying them
-  // out of order would leave an older tag.
-  for (int workers : {1, 2, 4, 7}) {
-    std::vector<WalRecord> records;
-    records.push_back(UpdateRecord(16, 100, {{5, 'x'}}));
-    records.push_back(UpdateRecord(100, 200, {{5, 'y'}}));
-    records.push_back(UpdateRecord(200, 300, {{5, 'z'}}));
-    StorageOptions options;
-    options.page_size = kPageSize;
-    PageFile file(options);
-    FilePageSink sink(&file);
-    RedoApplier redo(&sink);
-    ASSERT_TRUE(redo.ApplyAll(records, 0, workers).ok());
-    EXPECT_EQ(TagOf(&file, 5), 'z') << "workers=" << workers;
-    Page page(kPageSize);
-    ASSERT_TRUE(file.Read(5, &page).ok());
-    EXPECT_EQ(ReadPageLsn(page), 300u);
-  }
 }
 
 }  // namespace

@@ -7,17 +7,16 @@
 #include <string>
 #include <vector>
 
+#include "fuzz/campaign.h"
 #include "gtest/gtest.h"
 #include "node/document.h"
 #include "repl/follower.h"
 #include "repl/log_shipper.h"
-#include "repl/repl_harness.h"
 #include "tamix/bib_generator.h"
 #include "tamix/coordinator.h"
 #include "tamix/invariants.h"
 #include "util/crash_switch.h"
 #include "util/fault_injector.h"
-#include "wal/crash_harness.h"
 #include "wal/wal.h"
 
 namespace xtc {
@@ -313,19 +312,39 @@ class PairedKillTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(PairedKillTest, PairAgreesOnCommitsAndPromotes) {
   const uint64_t seed = GetParam();
-  PairFuzzConfig config;
-  config.seed = seed;
-  config.run = DefaultPairRunConfig(seed);
-  config.kill_follower = PairSeedKillsFollower(seed);
-  config.promote_redo_workers = 1 + static_cast<int>(seed % 4);
-  auto outcome = RunReplicatedCrashRestart(config);
+  auto outcome = RunSeed(Campaign::kPair, seed,
+                         CampaignRunConfig(Campaign::kPair, seed));
   ASSERT_TRUE(outcome.ok()) << outcome.status().message();
-  EXPECT_EQ(outcome->follower_commits, outcome->committed);
-  if (config.kill_follower && outcome->follower_killed) {
-    EXPECT_GE(outcome->follower_restarts, 1u);
+  EXPECT_EQ(outcome->db.committed.size(), outcome->committed);
+  if (SeedInjury(Campaign::kPair, seed) == fault_points::kCrashApply) {
+    EXPECT_EQ(outcome->injuries, outcome->run.repl.follower_restarts);
   }
-  ASSERT_NE(outcome->promoted.doc, nullptr);
-  EXPECT_TRUE(outcome->promoted.doc->Validate().ok());
+  ASSERT_NE(outcome->db.doc, nullptr);
+  Document& doc = *outcome->db.doc;
+  EXPECT_TRUE(doc.Validate().ok());
+
+  // The promoted database serves as the new primary: fresh committed
+  // writes apply, log and leave it valid. They rename the root element,
+  // the one element no workload transaction deletes.
+  const uint64_t first_tx = 1u << 20;  // clear of every workload tx id
+  const uint64_t first_seq = outcome->db.committed.empty()
+                                 ? 1
+                                 : outcome->db.committed.back().seq + 1;
+  const NameSurrogate renamed = doc.vocabulary().Intern("after-failover");
+  const NameSurrogate bib = doc.vocabulary().Intern("bib");
+  for (uint64_t i = 0; i < 4; ++i) {
+    auto target =
+        doc.NthElementByName(i % 2 == 0 ? "bib" : "after-failover", 0);
+    ASSERT_TRUE(target.has_value());
+    {
+      ScopedWalTx scope(first_tx + i);
+      ASSERT_TRUE(doc.RenameElement(*target, i % 2 == 0 ? renamed : bib).ok());
+    }
+    ASSERT_TRUE(outcome->db.wal
+                    ->AppendCommit(first_tx + i, first_seq + i, "resumed")
+                    .ok());
+  }
+  EXPECT_TRUE(doc.Validate().ok());
 }
 
 // Seeds 0..4 rotate through crash.wal, crash.page, crash.commit,
@@ -335,11 +354,9 @@ INSTANTIATE_TEST_SUITE_P(AllKillSites, PairedKillTest,
 
 TEST(ReplicationTest, RunStatsCarryReplicationCounters) {
   // A clean run (no kill armed): at shutdown the drain leaves zero lag.
-  RunConfig run = DefaultPairRunConfig(9);
+  RunConfig run = CampaignRunConfig(Campaign::kPair, 6);
   run.faults.points.clear();
-  PairReplicationObserver::Options obs;
-  obs.seed = 9;
-  PairReplicationObserver observer(obs);
+  PairReplicationObserver observer(6);  // seed 6 leaves the follower alone
   run.replication = &observer;
   auto stats = RunCluster1(run, nullptr);
   ASSERT_TRUE(stats.ok()) << stats.status().message();
@@ -352,9 +369,8 @@ TEST(ReplicationTest, RunStatsCarryReplicationCounters) {
 }
 
 TEST(ReplicationTest, ReplicationWithoutWalIsRejected) {
-  PairReplicationObserver::Options obs;
-  PairReplicationObserver observer(obs);
-  RunConfig run = DefaultPairRunConfig(1);
+  PairReplicationObserver observer(1);
+  RunConfig run = CampaignRunConfig(Campaign::kPair, 1);
   run.wal = WalMode::kDisabled;
   run.replication = &observer;
   auto stats = RunCluster1(run, nullptr);
