@@ -905,20 +905,26 @@ Status Document::Validate() const {
   uint64_t actual_elements = 0;
   uint64_t id_entries = 0;
   for (const auto& [splid, rec] : all) {
-    // Parent must exist (except for the root).
+    // Parent must exist (except for the root). A read error is returned
+    // as such, not taken for a missing parent.
     const Splid parent = splid.Parent();
-    if (parent.valid() && !doc_->Contains(parent.Encode())) {
-      return Status::Internal("orphan node " + splid.ToString());
+    std::optional<NodeKind> parent_kind;  // none for the root
+    if (parent.valid()) {
+      auto raw = doc_->Get(parent.Encode());
+      if (raw.status().IsNotFound()) {
+        return Status::Internal("orphan node " + splid.ToString());
+      }
+      XTC_RETURN_IF_ERROR(raw.status());
+      auto p = NodeRecord::Decode(*raw);
+      if (!p.has_value()) {
+        return Status::Internal("corrupt node record at " + parent.ToString());
+      }
+      parent_kind = p->kind;
     }
     // taDOM layering.
-    auto parent_kind = [&]() -> NodeKind {
-      auto raw = doc_->Get(parent.Encode());
-      auto p = NodeRecord::Decode(*raw);
-      return p->kind;
-    };
     switch (rec.kind) {
       case NodeKind::kElement:
-        if (parent.valid() && parent_kind() != NodeKind::kElement) {
+        if (parent.valid() && parent_kind != NodeKind::kElement) {
           return Status::Internal("element under non-element at " +
                                   splid.ToString());
         }
@@ -929,19 +935,19 @@ Status Document::Validate() const {
         break;
       case NodeKind::kAttributeRoot:
         if (splid.LastDivision() != kAttributeDivision ||
-            parent_kind() != NodeKind::kElement) {
+            parent_kind != NodeKind::kElement) {
           return Status::Internal("misplaced attribute root at " +
                                   splid.ToString());
         }
         break;
       case NodeKind::kAttribute:
-        if (parent_kind() != NodeKind::kAttributeRoot) {
+        if (parent_kind != NodeKind::kAttributeRoot) {
           return Status::Internal("attribute under non-attribute-root at " +
                                   splid.ToString());
         }
         break;
       case NodeKind::kText:
-        if (parent_kind() != NodeKind::kElement) {
+        if (parent_kind != NodeKind::kElement) {
           return Status::Internal("text under non-element at " +
                                   splid.ToString());
         }
@@ -951,8 +957,8 @@ Status Document::Validate() const {
           return Status::Internal("string node without division 1 at " +
                                   splid.ToString());
         }
-        if (parent_kind() != NodeKind::kText &&
-            parent_kind() != NodeKind::kAttribute) {
+        if (parent_kind != NodeKind::kText &&
+            parent_kind != NodeKind::kAttribute) {
           return Status::Internal("string under non-text/attribute at " +
                                   splid.ToString());
         }

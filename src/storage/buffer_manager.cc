@@ -11,10 +11,12 @@ PageGuard& PageGuard::operator=(PageGuard&& other) noexcept {
     bm_ = other.bm_;
     id_ = other.id_;
     page_ = other.page_;
+    frame_ = other.frame_;
     dirty_ = other.dirty_;
     other.bm_ = nullptr;
     other.page_ = nullptr;
     other.id_ = kInvalidPageId;
+    other.frame_ = kNoFrame;
     other.dirty_ = false;
   }
   return *this;
@@ -22,11 +24,12 @@ PageGuard& PageGuard::operator=(PageGuard&& other) noexcept {
 
 void PageGuard::Release() {
   if (bm_ != nullptr && page_ != nullptr) {
-    bm_->Unpin(id_, dirty_);
+    bm_->Unpin(frame_, id_, dirty_);
   }
   bm_ = nullptr;
   page_ = nullptr;
   id_ = kInvalidPageId;
+  frame_ = kNoFrame;
   dirty_ = false;
 }
 
@@ -67,32 +70,80 @@ Status BufferManager::WritePage(PageId id, const Page& page) {
   return file_->Write(id, page);
 }
 
-PageGuard BufferManager::PinResident(size_t idx) {
+PageGuard BufferManager::PinResident(Partition& p, PageId id, size_t idx) {
   Frame& f = frames_[idx];
-  if (f.in_lru) {
-    lru_.erase(f.lru_pos);
-    f.in_lru = false;
+  // Relaxed suffices: every zero-check that may unmap the frame holds
+  // this partition latch, which orders it against this increment.
+  f.pin_count.fetch_add(1, std::memory_order_relaxed);
+  if (!f.referenced.load(std::memory_order_relaxed)) {
+    f.referenced.store(true, std::memory_order_relaxed);
   }
-  ++f.pin_count;
-  return PageGuard(this, f.id, f.page.get());
+  p.hits.store(p.hits.load(std::memory_order_relaxed) + 1,
+               std::memory_order_relaxed);
+  return PageGuard(this, id, f.page.get(), idx);
+}
+
+void BufferManager::MapFrame(Partition& p, PageId id, size_t idx,
+                             FrameState state, int pins) {
+  Frame& f = frames_[idx];
+  f.id = id;
+  f.state = state;
+  f.pin_count.store(pins, std::memory_order_relaxed);
+  f.referenced.store(true, std::memory_order_relaxed);
+  p.table[id] = idx;
+}
+
+void BufferManager::UnmapFrame(Partition& p, size_t idx) {
+  Frame& f = frames_[idx];
+  p.table.erase(f.id);
+  f.id = kInvalidPageId;
+  f.state = FrameState::kFree;
+  f.dirty = false;
+  f.rec_lsn = 0;
+}
+
+size_t BufferManager::FrameOf(PageId id) {
+  Partition& p = PartitionOf(id);
+  MutexLock latch(p.mu);
+  auto it = p.table.find(id);
+  return it == p.table.end() ? PageGuard::kNoFrame : it->second;
 }
 
 StatusOr<PageGuard> BufferManager::Fetch(PageId id) {
   XTC_RETURN_IF_ERROR(
       MaybeInject(options_.fault_injector, fault_points::kBufferPin));
+  {
+    Partition& p = PartitionOf(id);
+    MutexLock latch(p.mu);
+    auto it = p.table.find(id);
+    if (it != p.table.end() &&
+        frames_[it->second].state == FrameState::kResident) {
+      return PinResident(p, id, it->second);
+    }
+  }
+  return FetchSlow(id);
+}
+
+StatusOr<PageGuard> BufferManager::FetchSlow(PageId id) {
+  Partition& p = PartitionOf(id);
   MutexLock guard(mu_);
   for (;;) {
-    auto it = table_.find(id);
-    if (it != table_.end()) {
-      size_t idx = it->second;
-      Frame& f = frames_[idx];
-      if (f.state == FrameState::kResident) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        return PinResident(idx);
+    size_t cached = PageGuard::kNoFrame;
+    {
+      MutexLock latch(p.mu);
+      auto it = p.table.find(id);
+      if (it != p.table.end()) {
+        if (frames_[it->second].state == FrameState::kResident) {
+          return PinResident(p, id, it->second);
+        }
+        cached = it->second;
       }
+    }
+    if (cached != PageGuard::kNoFrame) {
       // kLoading: another fetch is already reading this page — coalesce
       // onto its read. kEvicting: wait for the write-back verdict (a
       // cancelled eviction resolves to a hit, a completed one to a miss).
+      Frame& f = frames_[cached];
       if (f.state == FrameState::kLoading) {
         coalesced_fetches_.fetch_add(1, std::memory_order_relaxed);
       }
@@ -104,97 +155,98 @@ StatusOr<PageGuard> BufferManager::Fetch(PageId id) {
       --f.waiters;
       continue;  // re-check the table from scratch
     }
-    int idx = FindVictim();
-    if (idx < 0) {
+    int victim = FindVictim();
+    if (victim < 0) {
       return Status::ResourceExhausted("buffer pool exhausted (all pinned)");
     }
-    Frame& f = frames_[static_cast<size_t>(idx)];
-    // FindVictim may have dropped the latch for a write-back; another
-    // fetch can have cached `id` meanwhile. Return the frame and retry.
-    if (table_.find(id) != table_.end()) {
-      free_frames_.push_back(static_cast<size_t>(idx));
-      continue;
+    const size_t idx = static_cast<size_t>(victim);
+    Frame& f = frames_[idx];
+    {
+      MutexLock latch(p.mu);
+      // FindVictim may have dropped mu_ for a write-back; another fetch
+      // can have cached `id` meanwhile. Return the frame and retry.
+      if (p.table.count(id) != 0) {
+        free_frames_.push_back(idx);
+        continue;
+      }
+      misses_.fetch_add(1, std::memory_order_relaxed);
+      if (!f.page) f.page = std::make_unique<Page>(file_->page_size());
+      MapFrame(p, id, idx, FrameState::kLoading, 0);
     }
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    if (!f.page) f.page = std::make_unique<Page>(file_->page_size());
-    f.id = id;
-    f.state = FrameState::kLoading;
-    f.pin_count = 0;
-    f.dirty = false;
-    f.rec_lsn = 0;
-    f.in_lru = false;
-    table_[id] = static_cast<size_t>(idx);
     Page* page = f.page.get();  // stable: kLoading pins the frame mapping
     guard.Unlock();
     Status st = ReadPage(id, page);
     guard.Lock();
+    {
+      MutexLock latch(p.mu);
+      if (!st.ok()) {
+        UnmapFrame(p, idx);
+      } else {
+        f.state = FrameState::kResident;
+        f.pin_count.store(1, std::memory_order_relaxed);
+      }
+    }
+    f.cv.notify_all();  // on failure, coalesced waiters retry themselves
     if (!st.ok()) {
-      table_.erase(id);
-      f.id = kInvalidPageId;
-      f.state = FrameState::kFree;
-      free_frames_.push_back(static_cast<size_t>(idx));
-      f.cv.notify_all();  // coalesced waiters retry (and re-read) themselves
+      free_frames_.push_back(idx);
       return st;
     }
-    f.state = FrameState::kResident;
-    f.pin_count = 1;
-    f.cv.notify_all();
-    return PageGuard(this, id, f.page.get());
+    return PageGuard(this, id, page, idx);
   }
 }
 
 StatusOr<PageGuard> BufferManager::New() {
   MutexLock guard(mu_);
-  int idx = FindVictim();
-  if (idx < 0) {
+  int victim = FindVictim();
+  if (victim < 0) {
     return Status::ResourceExhausted("buffer pool exhausted (all pinned)");
   }
+  const size_t idx = static_cast<size_t>(victim);
   // Allocate only once a frame is secured: an exhausted pool must not
   // leak file pages under caller retry loops.
   PageId id = file_->Allocate();
-  Frame& f = frames_[static_cast<size_t>(idx)];
+  Frame& f = frames_[idx];
   if (!f.page) f.page = std::make_unique<Page>(file_->page_size());
   std::memset(f.page->data(), 0, f.page->size());
-  f.id = id;
-  f.state = FrameState::kResident;
-  f.pin_count = 1;
   f.dirty = true;  // must be written back even if never touched again
   f.rec_lsn = wal_ != nullptr ? wal_->AppendedLsn() : 0;
-  f.in_lru = false;
-  table_[id] = static_cast<size_t>(idx);
+  {
+    Partition& p = PartitionOf(id);
+    MutexLock latch(p.mu);
+    MapFrame(p, id, idx, FrameState::kResident, 1);
+  }
   if (capture_active_) capture_.insert(id);
-  return PageGuard(this, id, f.page.get());
+  return PageGuard(this, id, f.page.get(), idx);
 }
 
 void BufferManager::Free(PageId id) {
+  Partition& p = PartitionOf(id);
   MutexLock guard(mu_);
   for (;;) {
-    auto it = table_.find(id);
-    if (it == table_.end()) break;
-    Frame& f = frames_[it->second];
-    if (f.state == FrameState::kLoading || f.state == FrameState::kEvicting) {
-      // Let the in-flight I/O settle; dropping the frame under it would
-      // hand the loader/evictor a recycled frame.
-      ++f.waiters;
-      f.cv.wait(guard.native(), [&f, id] {
-        return f.id != id || (f.state != FrameState::kLoading &&
-                              f.state != FrameState::kEvicting);
-      });
-      --f.waiters;
-      continue;
+    size_t busy = PageGuard::kNoFrame;
+    {
+      MutexLock latch(p.mu);
+      auto it = p.table.find(id);
+      if (it == p.table.end()) break;
+      const size_t idx = it->second;
+      if (frames_[idx].state == FrameState::kResident) {
+        XTC_CHECK(frames_[idx].pin_count.load(std::memory_order_acquire) == 0,
+                  "BufferManager::Free of a pinned page");
+        UnmapFrame(p, idx);
+        free_frames_.push_back(idx);
+        break;
+      }
+      busy = idx;
     }
-    XTC_CHECK(f.pin_count == 0, "BufferManager::Free of a pinned page");
-    if (f.in_lru) {
-      lru_.erase(f.lru_pos);
-      f.in_lru = false;
-    }
-    f.id = kInvalidPageId;
-    f.dirty = false;
-    f.rec_lsn = 0;
-    f.state = FrameState::kFree;
-    free_frames_.push_back(it->second);
-    table_.erase(it);
-    break;
+    // Let the in-flight load/write-back settle; dropping the frame under
+    // it would hand the loader/evictor a recycled frame.
+    Frame& f = frames_[busy];
+    ++f.waiters;
+    f.cv.wait(guard.native(), [&f, id] {
+      return f.id != id || (f.state != FrameState::kLoading &&
+                            f.state != FrameState::kEvicting);
+    });
+    --f.waiters;
   }
   // A page freed mid-operation has no after-image to log: the pages that
   // referenced it carry the change.
@@ -206,23 +258,30 @@ Status BufferManager::FlushAll() {
   MutexLock guard(mu_);
   for (size_t idx = 0; idx < frames_.size(); ++idx) {
     Frame& f = frames_[idx];
-    if (f.state != FrameState::kResident || !f.dirty || f.pin_count > 0) {
-      continue;
-    }
+    if (f.state != FrameState::kResident || !f.dirty) continue;
     // Captured pages are mid-operation (their covering log record does
     // not exist yet) and must not reach the file — same rule as the
     // victim scan.
     if (capture_active_ && capture_.count(f.id) != 0) continue;
-    // kEvicting blocks new pins, so the page content is stable for the
-    // duration of the write; the frame stays in the LRU list and victim
-    // scans skip non-resident entries.
-    f.state = FrameState::kEvicting;
     const PageId id = f.id;
+    Partition& p = PartitionOf(id);
+    {
+      MutexLock latch(p.mu);
+      // A pinned frame's holder may still be mutating the page; it is
+      // written back on eviction or a later flush.
+      if (f.pin_count.load(std::memory_order_acquire) > 0) continue;
+      // kEvicting blocks new pins, so the page content is stable for the
+      // duration of the write.
+      f.state = FrameState::kEvicting;
+    }
     const Page* page = f.page.get();  // stable while kEvicting
     guard.Unlock();
     Status st = WritePage(id, *page);
     guard.Lock();
-    f.state = FrameState::kResident;
+    {
+      MutexLock latch(p.mu);
+      f.state = FrameState::kResident;
+    }
     if (st.ok()) {
       f.dirty = false;
       f.rec_lsn = 0;
@@ -271,7 +330,7 @@ size_t BufferManager::PinnedFrames() const {
   MutexLock guard(mu_);
   size_t pinned = 0;
   for (const Frame& f : frames_) {
-    if (f.id != kInvalidPageId && f.pin_count > 0) ++pinned;
+    if (f.pin_count.load(std::memory_order_acquire) > 0) ++pinned;
   }
   return pinned;
 }
@@ -299,112 +358,128 @@ BufferPoolStats BufferManager::io_stats() const {
   return s;
 }
 
-void BufferManager::Unpin(PageId id, bool dirty) {
+uint64_t BufferManager::hits() const {
+  uint64_t total = 0;
+  for (const Partition& p : partitions_) {
+    total += p.hits.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+void BufferManager::Unpin(size_t frame, PageId id, bool dirty) {
+  if (frame == PageGuard::kNoFrame) frame = FrameOf(id);
+  XTC_CHECK(frame < frames_.size() && frames_[frame].id == id,
+            "BufferManager::Unpin of an uncached page");
+  Frame& f = frames_[frame];
+  if (!dirty) {
+    // Release: the holder's page accesses happen-before any eviction
+    // that observes the zero (acquire) and reuses the frame.
+    const int pins = f.pin_count.fetch_sub(1, std::memory_order_release);
+    XTC_CHECK(pins > 0, "BufferManager::Unpin without a pin");
+    return;
+  }
+  // The dirty mark, rec_lsn and capture entry must all land before the
+  // pin drops: a victim scan (under mu_) could otherwise drop the frame as
+  // clean.
   MutexLock guard(mu_);
-  auto it = table_.find(id);
-  XTC_CHECK(it != table_.end(), "BufferManager::Unpin of an uncached page");
-  Frame& f = frames_[it->second];
-  XTC_CHECK(f.pin_count > 0, "BufferManager::Unpin without a pin");
-  if (dirty) {
-    if (!f.dirty && wal_ != nullptr) f.rec_lsn = wal_->AppendedLsn();
-    f.dirty = true;
-    if (capture_active_) capture_.insert(id);
-  }
-  if (--f.pin_count == 0) {
-    lru_.push_front(it->second);
-    f.lru_pos = lru_.begin();
-    f.in_lru = true;
-  }
+  XTC_CHECK(f.pin_count.load(std::memory_order_relaxed) > 0,
+            "BufferManager::Unpin without a pin");
+  if (!f.dirty && wal_ != nullptr) f.rec_lsn = wal_->AppendedLsn();
+  f.dirty = true;
+  if (capture_active_) capture_.insert(id);
+  f.pin_count.fetch_sub(1, std::memory_order_release);
 }
 
 int BufferManager::FindVictim() {
-  if (!free_frames_.empty()) {
-    size_t idx = free_frames_.back();
-    free_frames_.pop_back();
-    return static_cast<int>(idx);
-  }
   // Frames already attempted in this call (write-back failed, or the
   // eviction was cancelled by a waiter): each restart of the scan marks
   // at least one, so the loop terminates within frames_.size() rounds.
-  std::vector<bool> tried(frames_.size(), false);
+  std::vector<bool> tried;
+  const size_t n = frames_.size();
   for (;;) {
     if (!free_frames_.empty()) {
       size_t idx = free_frames_.back();
       free_frames_.pop_back();
       return static_cast<int>(idx);
     }
-    // Least recently used first. A dirty frame whose write-back fails
-    // (injected or real I/O error) must NOT be evicted — dropping it would
-    // lose committed data outside any transaction's undo reach. It stays
-    // cached and dirty; the scan moves on to the next candidate.
+    // CLOCK sweep. The first two revolutions give referenced frames a
+    // second chance (the first may do nothing but clear bits); the third
+    // ignores the bits, so concurrent hits that keep re-referencing every
+    // unpinned frame cannot make the scan report a spurious exhaustion.
+    // A dirty frame whose write-back fails (injected or real I/O error)
+    // must NOT be evicted — dropping it would lose committed data outside
+    // any transaction's undo reach. It stays cached and dirty; the scan
+    // moves on to the next candidate.
     bool restarted = false;
-    for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-      size_t idx = *it;
+    for (size_t step = 0; step < 3 * n && !restarted; ++step) {
+      const size_t idx = clock_hand_;
+      clock_hand_ = (clock_hand_ + 1) % n;
       Frame& f = frames_[idx];
-      if (tried[idx] || f.state != FrameState::kResident) continue;
+      if (f.state != FrameState::kResident || (!tried.empty() && tried[idx]) ||
+          f.pin_count.load(std::memory_order_relaxed) > 0) {
+        continue;
+      }
+      if (step < 2 * n &&
+          f.referenced.exchange(false, std::memory_order_relaxed)) {
+        continue;
+      }
       // Mid-operation pages (in the active capture set) are pinned in
       // spirit: their covering log record does not exist yet, so neither
       // a clean drop (losing un-redoable bytes' context) nor a dirty
       // write-back (WAL-before-data) is allowed.
       if (capture_active_ && capture_.count(f.id) != 0) continue;
-      if (!f.dirty) {
-        lru_.erase(std::next(it).base());
-        f.in_lru = false;
-        table_.erase(f.id);
-        f.id = kInvalidPageId;
-        f.state = FrameState::kFree;
-        return static_cast<int>(idx);
-      }
-      // Dirty victim: write it back without the latch. The frame leaves
-      // the LRU list (no second evictor can pick it) but stays in the
-      // table in kEvicting so a concurrent fetch of this page waits for
-      // the verdict instead of double-caching it.
-      lru_.erase(std::next(it).base());
-      f.in_lru = false;
-      f.state = FrameState::kEvicting;
       const PageId victim_id = f.id;
+      Partition& p = PartitionOf(victim_id);
+      {
+        MutexLock latch(p.mu);
+        // Pins are raised only under this latch, so a zero seen here
+        // stays zero until the frame has left kResident.
+        if (f.pin_count.load(std::memory_order_acquire) > 0) continue;
+        if (!f.dirty) {
+          UnmapFrame(p, idx);
+          return static_cast<int>(idx);
+        }
+        // Dirty victim: write it back without mu_. The frame stays in the
+        // table in kEvicting so a concurrent fetch of this page waits for
+        // the verdict instead of double-caching it, and no second
+        // evictor can pick it.
+        f.state = FrameState::kEvicting;
+      }
       const Page* victim_page = f.page.get();  // stable while kEvicting
       eviction_writebacks_.fetch_add(1, std::memory_order_relaxed);
       mu_.unlock();
       Status st = WritePage(victim_id, *victim_page);
       mu_.lock();
+      if (tried.empty()) tried.resize(n, false);
       tried[idx] = true;
-      if (!st.ok()) {
-        failed_writebacks_.fetch_add(1, std::memory_order_relaxed);
-        f.state = FrameState::kResident;  // keep it cached, still dirty
-        lru_.push_front(idx);
-        f.lru_pos = lru_.begin();
-        f.in_lru = true;
-        f.cv.notify_all();
-      } else if (f.waiters > 0) {
-        // Re-validate after the latch drop: a fetch arrived for the
-        // victim while its write-back was in flight. Evicting now would
-        // force an immediate re-read, so cancel — the frame stays
-        // resident and is clean (the write persisted it).
-        cancelled_evictions_.fetch_add(1, std::memory_order_relaxed);
-        f.state = FrameState::kResident;
-        f.dirty = false;
-        f.rec_lsn = 0;
-        lru_.push_front(idx);
-        f.lru_pos = lru_.begin();
-        f.in_lru = true;
-        f.cv.notify_all();
-      } else {
-        table_.erase(victim_id);
-        f.id = kInvalidPageId;
-        f.dirty = false;
-        f.rec_lsn = 0;
-        f.state = FrameState::kFree;
-        f.cv.notify_all();
-        return static_cast<int>(idx);
+      bool evicted = false;
+      {
+        MutexLock latch(p.mu);
+        if (!st.ok()) {
+          failed_writebacks_.fetch_add(1, std::memory_order_relaxed);
+          f.state = FrameState::kResident;  // keep it cached, still dirty
+        } else if (f.waiters > 0) {
+          // Re-validate after the latch drop: a fetch arrived for the
+          // victim while its write-back was in flight. Evicting now would
+          // force an immediate re-read, so cancel — the frame stays
+          // resident and is clean (the write persisted it).
+          cancelled_evictions_.fetch_add(1, std::memory_order_relaxed);
+          f.state = FrameState::kResident;
+          f.dirty = false;
+          f.rec_lsn = 0;
+        } else {
+          UnmapFrame(p, idx);
+          evicted = true;
+        }
       }
-      // The latch was dropped: LRU iterators are stale, and free frames
-      // may have appeared. Restart the scan, skipping tried frames.
+      f.cv.notify_all();
+      if (evicted) return static_cast<int>(idx);
+      // mu_ was dropped: free frames may have appeared. Restart the scan,
+      // skipping tried frames.
       restarted = true;
-      break;
     }
     if (restarted) continue;
-    // No candidate in the LRU list. Frames mid-I/O are merely transient:
+    // No candidate in the sweep. Frames mid-I/O are merely transient:
     // a finishing load or write-back can free one, so wait for a state
     // transition and rescan rather than failing. (The old global-latch
     // pool blocked here implicitly; reporting exhaustion instead leaks
@@ -412,15 +487,15 @@ int BufferManager::FindVictim() {
     // failure-atomic.) Note we do NOT register in f.waiters — that would
     // make the evictor cancel its eviction, and the scan wants the frame
     // released, not the page kept.
-    size_t in_io = frames_.size();
-    for (size_t i = 0; i < frames_.size(); ++i) {
+    size_t in_io = n;
+    for (size_t i = 0; i < n; ++i) {
       if (frames_[i].state == FrameState::kLoading ||
           frames_[i].state == FrameState::kEvicting) {
         in_io = i;
         break;
       }
     }
-    if (in_io == frames_.size()) return -1;  // genuinely exhausted
+    if (in_io == n) return -1;  // genuinely exhausted
     Frame& w = frames_[in_io];
     // The wait needs a unique_lock; adopt the mu_ we already hold and
     // release it back un-owned afterwards — net lock state unchanged, so

@@ -1,24 +1,48 @@
 // Buffer manager: a fixed pool of page frames over the page file with
-// LRU replacement, pin counting and dirty tracking.
+// CLOCK replacement, pin counting and dirty tracking.
 //
 // The paper relies on "reference locality in the B*-trees ... most of the
 // referenced tree pages (at least in upper tree layers) are expected to
 // reside in DB buffers" (§3.2); the pool makes that locality real so that
 // protocols which force extra document traversals (the *-2PL group on
-// subtree deletion) pay for the misses.
+// subtree deletion) pay for the misses. It also makes a resident fetch the
+// hottest path in every DOM call, so that path takes no pool-wide latch.
 //
-// Concurrency model: the pool mutex mu_ protects only the frame table and
-// replacement metadata — it is NEVER held across PageFile I/O. Each frame
-// carries an explicit state:
+// Concurrency model. Two kinds of latch, always taken in this order:
+//
+//   mu_             the pool latch: free list, CLOCK hand, capture set, and
+//                   each frame's dirty / rec_lsn / waiters fields. Misses,
+//                   coalesced loads, victim scans and write-backs, New,
+//                   Free, FlushAll and dirtying unpins run under it. It is
+//                   NEVER held across PageFile I/O.
+//   partition latch one per page-table partition (page id mod
+//                   kPartitions); guards that partition's id -> frame map
+//                   and its hit counter.
+//
+// A frame's id and state are written only with BOTH mu_ and the partition
+// latch of the page it maps held, so either latch alone suffices to read
+// them. pin_count is atomic and is raised only under the partition latch;
+// a clean unpin lowers it with no latch at all, a dirtying unpin under mu_
+// (so the dirty mark and rec_lsn land before the pin is gone). Every
+// transition out of kResident (victim eviction, FlushAll, Free) takes the
+// partition latch and re-checks pin_count == 0 there. Since a pin cannot
+// be raised without that latch, the zero stays zero until the frame has
+// left kResident, and a pin raised earlier is seen: a pinned frame never
+// leaves kResident. The hit path is therefore one partition latch, a
+// table lookup, an atomic increment and a reference-bit store; a clean
+// unpin is one atomic decrement (the guard carries its frame index).
+//
+// Frame states:
 //
 //   kFree      not mapped to any page (on free_frames_ or claimed by a
 //              fetch that is about to load into it)
 //   kLoading   a miss is reading the page from the file; the frame is in
-//              table_ so concurrent fetches of the same page coalesce onto
-//              the one in-flight read by waiting on the frame's cv
+//              the page table so concurrent fetches of the same page
+//              coalesce onto the one in-flight read by waiting on the
+//              frame's cv
 //   kResident  mapped and readable; pinnable
 //   kEvicting  a dirty victim's write-back is in flight; the frame stays
-//              in table_ so a concurrent fetch of the evictee waits
+//              in the page table so a concurrent fetch of the evictee waits
 //              instead of double-caching, and the evictor re-validates
 //              (waiters present => eviction is cancelled, the frame stays
 //              resident) after the write returns
@@ -30,9 +54,10 @@
 #ifndef XTC_STORAGE_BUFFER_MANAGER_H_
 #define XTC_STORAGE_BUFFER_MANAGER_H_
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
-#include <list>
+#include <cstddef>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -54,9 +79,13 @@ class BufferManager;
 /// destruction. Movable, not copyable.
 class PageGuard {
  public:
+  /// Frame index of a guard built outside the pool; its unpin has to look
+  /// the page up in the table.
+  static constexpr size_t kNoFrame = static_cast<size_t>(-1);
+
   PageGuard() = default;
-  PageGuard(BufferManager* bm, PageId id, Page* page)
-      : bm_(bm), id_(id), page_(page) {}
+  PageGuard(BufferManager* bm, PageId id, Page* page, size_t frame = kNoFrame)
+      : bm_(bm), id_(id), page_(page), frame_(frame) {}
   PageGuard(PageGuard&& other) noexcept { *this = std::move(other); }
   PageGuard& operator=(PageGuard&& other) noexcept;
   PageGuard(const PageGuard&) = delete;
@@ -78,6 +107,7 @@ class PageGuard {
   BufferManager* bm_ = nullptr;
   PageId id_ = kInvalidPageId;
   Page* page_ = nullptr;
+  size_t frame_ = kNoFrame;
   bool dirty_ = false;
 };
 
@@ -126,7 +156,7 @@ class BufferManager {
   /// (zero pins) this persists everything.
   Status FlushAll() XTC_EXCLUDES(mu_);
 
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
+  uint64_t hits() const;
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
   BufferPoolStats io_stats() const;
 
@@ -171,11 +201,21 @@ class BufferManager {
 
   enum class FrameState : uint8_t { kFree, kLoading, kResident, kEvicting };
 
-  struct Frame {
+  /// Page-table partitions. A constant: enough that threads fetching
+  /// different pages rarely share a latch.
+  static constexpr size_t kPartitions = 64;
+
+  // Cache-line aligned so pins on neighbouring frames do not contend.
+  struct alignas(64) Frame {
+    // Written under mu_ AND the latch of the mapped page's partition.
     PageId id = kInvalidPageId;
-    std::unique_ptr<Page> page;
     FrameState state = FrameState::kFree;
-    int pin_count = 0;
+    // Allocated under mu_ while the frame is unmapped; stable afterwards.
+    std::unique_ptr<Page> page;
+    std::atomic<int> pin_count{0};
+    /// CLOCK reference bit: set by every pin, cleared by the sweep.
+    std::atomic<bool> referenced{false};
+    // The rest is guarded by mu_.
     /// Fetch/Free calls blocked on this frame's load or write-back.
     int waiters = 0;
     bool dirty = false;
@@ -183,22 +223,47 @@ class BufferManager {
     /// scan starting there cannot miss an update to this page. 0 while
     /// clean or when no WAL is attached.
     uint64_t rec_lsn = 0;
-    std::list<size_t>::iterator lru_pos;
-    bool in_lru = false;
     /// Signalled on every state transition out of kLoading/kEvicting.
     std::condition_variable cv;
   };
 
-  void Unpin(PageId id, bool dirty) XTC_EXCLUDES(mu_);
+  struct alignas(64) Partition {
+    Mutex mu;
+    std::unordered_map<PageId, size_t> table XTC_GUARDED_BY(mu);
+    /// Bumped only under mu (a plain load/store, no locked RMW); summed
+    /// latch-free by hits().
+    std::atomic<uint64_t> hits{0};
+  };
+
+  Partition& PartitionOf(PageId id) { return partitions_[id % kPartitions]; }
+
+  /// The frame mapping `id`, or PageGuard::kNoFrame.
+  size_t FrameOf(PageId id);
+
+  void Unpin(size_t frame, PageId id, bool dirty) XTC_EXCLUDES(mu_);
+
+  /// The miss path of Fetch: coalesces onto in-flight loads, waits out
+  /// write-backs, and reads the page into a victim frame.
+  StatusOr<PageGuard> FetchSlow(PageId id) XTC_EXCLUDES(mu_);
 
   /// Returns the index of a frame reserved for the caller (kFree, out of
-  /// the table, the LRU list and free_frames_), or -1 if every frame is
-  /// pinned or mid-I/O. May release and reacquire mu_ to write back a
-  /// dirty victim — callers must re-validate table state afterwards.
+  /// the page table and free_frames_), or -1 if every frame is pinned or
+  /// mid-I/O. May release and reacquire mu_ to write back a dirty victim
+  /// — callers must re-validate table state afterwards.
   int FindVictim() XTC_REQUIRES(mu_);
 
-  /// Pins a resident frame (removing it from the LRU list).
-  PageGuard PinResident(size_t idx) XTC_REQUIRES(mu_);
+  /// Pins the kResident frame `idx`, which maps `id` in partition `p`.
+  PageGuard PinResident(Partition& p, PageId id, size_t idx)
+      XTC_REQUIRES(p.mu);
+
+  /// Maps the claimed frame `idx` to `id` in state `state`, pinned
+  /// `pins` times (both latches held: the frame becomes visible to hits).
+  void MapFrame(Partition& p, PageId id, size_t idx, FrameState state,
+                int pins) XTC_REQUIRES(mu_, p.mu);
+
+  /// Unmaps frame `idx` (the page leaves the table) and marks it kFree
+  /// and clean: every frame a victim scan or the free list hands out is.
+  void UnmapFrame(Partition& p, size_t idx) XTC_REQUIRES(mu_, p.mu);
 
   // All page-file I/O funnels through these two helpers. XTC_EXCLUDES
   // turns the pool's core invariant — the latch is never held across
@@ -230,12 +295,11 @@ class BufferManager {
   mutable Mutex mu_;
   bool capture_active_ XTC_GUARDED_BY(mu_) = false;
   std::unordered_set<PageId> capture_ XTC_GUARDED_BY(mu_);
-  std::vector<Frame> frames_ XTC_GUARDED_BY(mu_);
-  std::unordered_map<PageId, size_t> table_ XTC_GUARDED_BY(mu_);
-  // front = most recent; only unpinned residents
-  std::list<size_t> lru_ XTC_GUARDED_BY(mu_);
+  // Sized once at construction; Frame lists the guard of each field.
+  std::vector<Frame> frames_;
+  std::array<Partition, kPartitions> partitions_;
   std::vector<size_t> free_frames_ XTC_GUARDED_BY(mu_);
-  std::atomic<uint64_t> hits_{0};
+  size_t clock_hand_ XTC_GUARDED_BY(mu_) = 0;
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> io_in_flight_{0};
   std::atomic<uint64_t> io_in_flight_hwm_{0};

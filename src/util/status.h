@@ -16,6 +16,8 @@
 #include <string_view>
 #include <utility>
 
+#include "util/check.h"
+
 namespace xtc {
 
 enum class StatusCode : int {
@@ -162,12 +164,14 @@ class StatusOr {
 
   bool ok() const { return status_.ok(); }
   const Status& status() const { return status_; }
+  // A hard check, not assert(): under NDEBUG the unchecked dereference of
+  // an error would read an empty std::optional.
   T& value() {
-    assert(ok());
+    XTC_CHECK(ok(), "StatusOr::value() on an error status");
     return *value_;
   }
   const T& value() const {
-    assert(ok());
+    XTC_CHECK(ok(), "StatusOr::value() on an error status");
     return *value_;
   }
   T& operator*() { return value(); }

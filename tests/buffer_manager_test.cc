@@ -4,9 +4,34 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <thread>
 #include <vector>
+
+// Counts this thread's heap allocations, so a test can assert that the
+// resident-hit path makes none.
+namespace {
+thread_local size_t allocations = 0;
+}  // namespace
+
+void* operator new(size_t size) {
+  ++allocations;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// GCC pairs the inlined replacement new with these frees and warns of a
+// mismatch that is not there: both sides are malloc/free.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, size_t) noexcept { std::free(p); }
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
 
 namespace xtc {
 namespace {
@@ -60,6 +85,28 @@ TEST(BufferManagerTest, FetchCachesPages) {
   ASSERT_TRUE(g2.ok());
   EXPECT_EQ(std::memcmp(g2->page()->data(), "cached", 6), 0);
   EXPECT_EQ(bm.misses(), misses_before);  // hit
+}
+
+TEST(BufferManagerTest, ResidentFetchAndCleanUnpinAllocateNothing) {
+  StorageOptions options = SmallPool();
+  PageFile file(options);
+  BufferManager bm(&file, options);
+  PageId id;
+  {
+    auto g = bm.New();
+    ASSERT_TRUE(g.ok());
+    id = g->id();
+  }
+  const uint64_t misses = bm.misses();
+  const size_t before = allocations;
+  for (int i = 0; i < 100; ++i) {
+    auto g = bm.Fetch(id);
+    if (!g.ok()) break;
+  }
+  const size_t allocated = allocations - before;
+  EXPECT_EQ(allocated, 0u);
+  EXPECT_EQ(bm.misses(), misses);
+  EXPECT_EQ(bm.PinnedFrames(), 0u);
 }
 
 TEST(BufferManagerTest, EvictionWritesBackDirtyPages) {
@@ -207,6 +254,22 @@ TEST(BufferManagerDeathTest, FreeOfPinnedPageFailsLoudly) {
   auto g = bm.New();
   ASSERT_TRUE(g.ok());
   EXPECT_DEATH(bm.Free(g->id()), "XTC_CHECK failed.*Free of a pinned page");
+}
+
+TEST(BufferManagerDeathTest, UnpinWithoutAPinFailsLoudly) {
+  // A clean unpin is a bare atomic decrement; it must still refuse to
+  // drive the pin count below zero.
+  StorageOptions options = SmallPool();
+  PageFile file(options);
+  BufferManager bm(&file, options);
+  auto g = bm.New();
+  ASSERT_TRUE(g.ok());
+  const PageId id = g->id();
+  Page* page = g->page();
+  g->Release();
+  EXPECT_DEATH(
+      { PageGuard extra(&bm, id, page); },
+      "XTC_CHECK failed.*Unpin without a pin");
 }
 
 TEST(BufferManagerTest, FreedPageLeavesTheCaptureSet) {

@@ -1,6 +1,7 @@
 // Multi-threaded buffer-pool stress tests for the frame-state machine:
-// overlapped simulated disk I/O, same-page miss coalescing, and chaos-mode
-// interaction with io.read/io.write faults during concurrent eviction.
+// overlapped simulated disk I/O, same-page miss coalescing, chaos-mode
+// interaction with io.read/io.write faults during concurrent eviction, and
+// latch-free hits racing CLOCK eviction, FlushAll and Free.
 //
 // The central recovery invariant (PR 1) re-checked here under load: a
 // dirty frame whose write-back fails is never evicted, so the latest
@@ -11,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -193,6 +195,122 @@ TEST(BufferPoolStressTest, ConcurrentNewAndFetchKeepPoolConsistent) {
   EXPECT_EQ(errors.load(), 0);
   EXPECT_EQ(bm.FramesInIo(), 0u);
   EXPECT_EQ(bm.PinnedFrames(), 0u);
+}
+
+TEST(BufferPoolStressTest, HitsRaceEvictionFlushAndFree) {
+  // Resident hits pin under a partition latch only. Every way a frame can
+  // leave kResident — CLOCK eviction (clean and dirty), FlushAll's
+  // write-back, Free — must re-check the pin under that latch, so a page
+  // never changes under a pin: while pinned, its bytes carry its own id.
+  StorageOptions options;
+  options.buffer_pool_pages = 16;
+  options.io_latency_us = 20;
+  PageFile file(options);
+  BufferManager bm(&file, options);
+  const size_t kShared = 24;  // 1.5x the pool: hits and evictions mix
+  std::vector<PageId> shared;
+  for (size_t i = 0; i < kShared; ++i) {
+    auto g = bm.New();
+    ASSERT_TRUE(g.ok());
+    const PageId id = g->id();
+    std::memcpy(g->page()->data(), &id, sizeof(id));
+    g->MarkDirty();
+    shared.push_back(id);
+  }
+  auto carries_own_id = [](const PageGuard& g) {
+    PageId stored;
+    std::memcpy(&stored, g.page()->data(), sizeof(stored));
+    return stored == g.id();
+  };
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> errors{0};
+  std::atomic<uint64_t> fetches{0};
+  std::vector<std::thread> threads;
+  // Four pinners: one or two pins held at a time, a third of the fetches
+  // on one hot page (a tree root).
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t]() {
+      uint64_t state = 0x9E3779B97F4A7C15ull * static_cast<uint64_t>(t + 1);
+      for (int i = 0; i < 3000; ++i) {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        const uint64_t r = state >> 33;
+        const PageId a = r % 3 == 0 ? shared[0] : shared[r % kShared];
+        auto ga = bm.Fetch(a);
+        auto gb = bm.Fetch(shared[(r >> 8) % kShared]);
+        fetches.fetch_add(2, std::memory_order_relaxed);
+        if (!ga.ok() || !gb.ok() || !carries_own_id(*ga) ||
+            !carries_own_id(*gb)) {
+          ++errors;
+        }
+      }
+    });
+  }
+  // A dirtier: bumps a counter past the id and marks the page dirty.
+  threads.emplace_back([&]() {
+    uint64_t state = 0x2545F4914F6CDD1Dull;
+    while (!stop.load()) {
+      state = state * 6364136223846793005ull + 1442695040888963407ull;
+      auto g = bm.Fetch(shared[(state >> 33) % kShared]);
+      fetches.fetch_add(1, std::memory_order_relaxed);
+      if (!g.ok() || !carries_own_id(*g)) {
+        ++errors;
+        continue;
+      }
+      ++g->page()->data()[sizeof(PageId)];
+      g->MarkDirty();
+    }
+  });
+  // A flusher: write-backs race the pins.
+  threads.emplace_back([&]() {
+    while (!stop.load()) {
+      if (!bm.FlushAll().ok()) ++errors;
+    }
+  });
+  // An allocator: News and Frees pages of its own, so frames keep being
+  // unmapped and remapped in the partitions the pinners use.
+  threads.emplace_back([&]() {
+    std::vector<PageId> mine;
+    while (!stop.load()) {
+      if (mine.size() < 4) {
+        auto g = bm.New();
+        if (!g.ok()) {
+          ++errors;
+          continue;
+        }
+        const PageId id = g->id();
+        std::memcpy(g->page()->data(), &id, sizeof(id));
+        g->MarkDirty();
+        mine.push_back(id);
+      } else {
+        {
+          auto g = bm.Fetch(mine.front());
+          fetches.fetch_add(1, std::memory_order_relaxed);
+          if (!g.ok() || !carries_own_id(*g)) ++errors;
+        }
+        bm.Free(mine.front());
+        mine.erase(mine.begin());
+      }
+    }
+  });
+  for (int t = 0; t < 4; ++t) threads[static_cast<size_t>(t)].join();
+  stop.store(true);
+  for (size_t t = 4; t < threads.size(); ++t) threads[t].join();
+
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_EQ(bm.FramesInIo(), 0u);
+  EXPECT_EQ(bm.PinnedFrames(), 0u);
+  // Every fetch resolved as exactly one hit or one miss.
+  EXPECT_EQ(bm.hits() + bm.misses(), fetches.load());
+  EXPECT_GT(bm.io_stats().eviction_writebacks, 0u);
+  ASSERT_TRUE(bm.FlushAll().ok());
+  Page p(options.page_size);
+  for (PageId id : shared) {
+    ASSERT_TRUE(file.Read(id, &p).ok());
+    PageId stored;
+    std::memcpy(&stored, p.data(), sizeof(stored));
+    EXPECT_EQ(stored, id);
+  }
 }
 
 }  // namespace

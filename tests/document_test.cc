@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/fault_injector.h"
+
 namespace xtc {
 namespace {
 
@@ -259,6 +261,42 @@ TEST(DocumentAccessorTest, SubtreeAndChildrenEnumeration) {
   auto children = accessor.ChildrenOf(book);
   ASSERT_TRUE(children.ok());
   EXPECT_EQ(children->size(), 4u);  // attribute root + title/author/history
+}
+
+TEST(DocumentValidateTest, ReadFaultsYieldAStatusNeverAnAbort) {
+  // Validate used to dereference unchecked reads of each parent record;
+  // an injected read fault then aborted the process instead of returning
+  // an error.
+  FaultInjector faults(7);
+  StorageOptions options;
+  options.buffer_pool_pages = 8;  // small enough that Validate re-reads pages
+  options.fault_injector = &faults;
+  Document doc(options);
+  SubtreeSpec bib{"bib", {}, "", {}};
+  for (int i = 0; i < 40; ++i) {
+    SubtreeSpec topic = SmallBib().children[0];
+    topic.attributes = {{"id", "t" + std::to_string(i)}};
+    topic.children[0].attributes[0].second = "b" + std::to_string(i);
+    bib.children.push_back(std::move(topic));
+  }
+  ASSERT_TRUE(doc.BuildFromSpec(bib).ok());
+  ASSERT_TRUE(doc.Validate().ok());
+
+  // The points keep counting across calls, so each pass draws different
+  // faults; some passes may run clean.
+  FaultPointConfig rare;
+  rare.probability = 0.002;
+  faults.Arm(fault_points::kBufferPin, rare);
+  rare.probability = 0.01;
+  faults.Arm(fault_points::kIoRead, rare);
+  int failed = 0;
+  for (int pass = 0; pass < 20; ++pass) {
+    if (!doc.Validate().ok()) ++failed;
+  }
+  EXPECT_GT(failed, 0) << "the injected faults never reached Validate";
+  faults.Disarm(fault_points::kBufferPin);
+  faults.Disarm(fault_points::kIoRead);
+  EXPECT_TRUE(doc.Validate().ok());
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "util/clock.h"
 #include "util/rng.h"
@@ -46,6 +47,17 @@ TEST(StatusOrTest, ValueAndStatusPaths) {
   StatusOr<int> bad(Status::NotFound("gone"));
   ASSERT_FALSE(bad.ok());
   EXPECT_TRUE(bad.status().IsNotFound());
+}
+
+TEST(StatusOrDeathTest, ValueOfAnErrorFailsLoudly) {
+  // value() used to guard with assert(), which vanishes under NDEBUG and
+  // left the dereference of an empty std::optional. It must fail loudly
+  // in every build.
+  StatusOr<int> bad(Status::NotFound("gone"));
+  EXPECT_DEATH((void)bad.value(),
+               "XTC_CHECK failed.*StatusOr::value\\(\\) on an error status");
+  const StatusOr<std::string> const_bad(Status::Internal("broken"));
+  EXPECT_DEATH((void)*const_bad, "XTC_CHECK failed.*on an error status");
 }
 
 TEST(StatusOrTest, MacrosPropagate) {
