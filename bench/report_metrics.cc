@@ -1,14 +1,15 @@
 // Supporting report: the paper's §4.1 measurement catalogue for one
 // CLUSTER1 run — committed/aborted per type, avg/min/max transaction
-// durations, deadlock counts with classification, plus storage
+// durations, deadlock counts with classification — then every other
+// counter of the run (RunStats::Snapshot, docs/metrics.md), plus storage
 // occupancy of the document tree (§3.1).
 //
 //   ./bench/report_metrics [protocol] [--replicated]  (default taDOM3+)
 //
 // --replicated attaches a log-shipping follower (DESIGN.md §7) for the
-// run and adds the replication counters to the report. It is the pair
-// campaign's observer: a seed whose pair rotation names crash.apply
-// (seed % 5 == 4) kills and restarts the follower once.
+// run, so the repl.* counters are live. It is the pair campaign's
+// observer: a seed whose pair rotation names crash.apply (seed % 5 == 4)
+// kills and restarts the follower once.
 
 #include <cstdio>
 #include <cstring>
@@ -17,6 +18,7 @@
 #include "node/document.h"
 #include "fuzz/campaign.h"
 #include "tamix/bib_generator.h"
+#include "util/stats.h"
 
 using namespace xtc;
 using namespace xtc::bench;
@@ -66,129 +68,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(stats.total_committed()),
               static_cast<unsigned long long>(stats.total_aborted()), "", "",
               "", stats.p50_ms(), stats.p95_ms(), stats.p99_ms(), "");
-  uint64_t undo_failures = 0;
-  for (int t = 0; t < kNumTxTypes; ++t) {
-    undo_failures += stats.per_type[t].undo_failures;
-  }
-  if (undo_failures > 0) {
-    std::printf("\nundo failures: %llu (aborts that hit a failing undo step)\n",
-                static_cast<unsigned long long>(undo_failures));
-  }
-  std::printf("\nlock manager: %llu requests, %llu waits, %llu conversions, "
-              "%llu deadlocks (%llu conversion-caused), %llu timeouts\n",
-              static_cast<unsigned long long>(stats.lock_stats.requests),
-              static_cast<unsigned long long>(stats.lock_stats.waits),
-              static_cast<unsigned long long>(stats.lock_stats.conversions),
-              static_cast<unsigned long long>(stats.lock_stats.deadlocks),
-              static_cast<unsigned long long>(
-                  stats.lock_stats.conversion_deadlocks),
-              static_cast<unsigned long long>(stats.lock_stats.timeouts));
-  std::printf("tx lock cache: %llu hits, %llu misses (%.1f%% hit rate), "
-              "%llu invalidations\n",
-              static_cast<unsigned long long>(stats.lock_cache_hits()),
-              static_cast<unsigned long long>(stats.lock_cache_misses()),
-              100.0 * stats.lock_cache_hit_rate(),
-              static_cast<unsigned long long>(
-                  stats.lock_cache_invalidations()));
-
-  std::printf("\nbuffer pool: %llu hits, %llu misses, io in-flight hwm %llu, "
-              "%llu coalesced fetches,\n  %llu eviction write-backs "
-              "(%llu failed, %llu cancelled by waiters)\n",
-              static_cast<unsigned long long>(stats.buffer_hits),
-              static_cast<unsigned long long>(stats.buffer_misses),
-              static_cast<unsigned long long>(stats.buffer_io.io_in_flight_hwm),
-              static_cast<unsigned long long>(
-                  stats.buffer_io.coalesced_fetches),
-              static_cast<unsigned long long>(
-                  stats.buffer_io.eviction_writebacks),
-              static_cast<unsigned long long>(
-                  stats.buffer_io.failed_writebacks),
-              static_cast<unsigned long long>(
-                  stats.buffer_io.cancelled_evictions));
-
-  // Durability: only reported when the run had a WAL attached (XTC_WAL=1
-  // or RunConfig::wal = kEnabled).
-  if (stats.wal.records_appended > 0) {
-    std::printf("\nwal: %llu records (%llu bytes), %llu forced syncs, "
-                "%llu commit records, %llu checkpoints, %llu clean flush "
-                "failures\n",
-                static_cast<unsigned long long>(stats.wal.records_appended),
-                static_cast<unsigned long long>(stats.wal.bytes_appended),
-                static_cast<unsigned long long>(stats.wal.syncs),
-                static_cast<unsigned long long>(stats.wal.commits_logged),
-                static_cast<unsigned long long>(stats.wal.checkpoints_taken),
-                static_cast<unsigned long long>(stats.wal.flush_failures));
-    if (stats.wal.records_redone > 0 || stats.wal.losers_undone > 0) {
-      std::printf("recovery: %llu records redone (%llu pages), "
-                  "%llu losers undone\n",
-                  static_cast<unsigned long long>(stats.wal.records_redone),
-                  static_cast<unsigned long long>(stats.wal.pages_redone),
-                  static_cast<unsigned long long>(stats.wal.losers_undone));
-    }
-  }
-
-  // Replication: only reported when a follower was attached (the
-  // counters merge the shipper's and the follower's sides; see
-  // repl/repl_stats.h).
-  if (stats.repl.enabled) {
-    std::printf("\nreplication: %llu bytes shipped in %llu chunk(s) over "
-                "%llu round(s)\n",
-                static_cast<unsigned long long>(stats.repl.shipped_bytes),
-                static_cast<unsigned long long>(stats.repl.shipped_chunks),
-                static_cast<unsigned long long>(stats.repl.ship_rounds));
-    std::printf("  follower: %llu record(s) applied (%llu pages, %llu "
-                "commits, %llu checkpoints), %llu reattach(es), "
-                "%llu resync(s), %llu restart(s)\n",
-                static_cast<unsigned long long>(stats.repl.records_applied),
-                static_cast<unsigned long long>(stats.repl.pages_applied),
-                static_cast<unsigned long long>(stats.repl.commits_applied),
-                static_cast<unsigned long long>(
-                    stats.repl.checkpoints_applied),
-                static_cast<unsigned long long>(stats.repl.reattaches),
-                static_cast<unsigned long long>(stats.repl.resyncs),
-                static_cast<unsigned long long>(
-                    stats.repl.follower_restarts));
-    std::printf("  watermarks: applied LSN %llu, received LSN %llu, "
-                "lag %llu byte(s)\n",
-                static_cast<unsigned long long>(stats.repl.applied_lsn),
-                static_cast<unsigned long long>(stats.repl.received_lsn),
-                static_cast<unsigned long long>(stats.repl.ship_lag_bytes()));
-  }
-
-  // Network front-end: only reported when the run went over sockets
-  // (XTC_NET=1 or RunConfig::frontend = kSocket; see DESIGN.md §8).
-  if (stats.net.enabled) {
-    std::printf("\nnetwork: %llu session(s), %llu parked, %llu resumed, "
-                "%llu lease(s) expired, %llu dedup hit(s)\n",
-                static_cast<unsigned long long>(stats.net.sessions_accepted),
-                static_cast<unsigned long long>(stats.net.sessions_parked),
-                static_cast<unsigned long long>(stats.net.sessions_resumed),
-                static_cast<unsigned long long>(stats.net.leases_expired),
-                static_cast<unsigned long long>(stats.net.dedup_hits));
-    std::printf("  clients: %llu reconnect(s), %llu resume(s), %llu retried "
-                "request(s), %llu io timeout(s), %llu unknown commit(s)\n",
-                static_cast<unsigned long long>(stats.net.reconnects),
-                static_cast<unsigned long long>(stats.net.resumes),
-                static_cast<unsigned long long>(stats.net.retried_requests),
-                static_cast<unsigned long long>(stats.net.io_timeouts),
-                static_cast<unsigned long long>(stats.net.unknown_commits));
-    if (stats.net.chaos_connections > 0) {
-      std::printf("  chaos proxy: %llu connection(s), %llu drop(s), "
-                  "%llu truncation(s), %llu delay(s), %llu duplicate(s)\n",
-                  static_cast<unsigned long long>(stats.net.chaos_connections),
-                  static_cast<unsigned long long>(stats.net.chaos_drops),
-                  static_cast<unsigned long long>(stats.net.chaos_truncations),
-                  static_cast<unsigned long long>(stats.net.chaos_delays),
-                  static_cast<unsigned long long>(stats.net.chaos_duplicates));
-    }
-    if (stats.net.sessions_active_end != 0 ||
-        stats.net.sessions_parked_end != 0) {
-      std::printf("  LEAK: %llu active / %llu parked session(s) after drain\n",
-                  static_cast<unsigned long long>(stats.net.sessions_active_end),
-                  static_cast<unsigned long long>(
-                      stats.net.sessions_parked_end));
-    }
-  }
+  // Every counter of the run, by its docs/metrics.md name.
+  std::printf("\n");
+  PrintStatsText(stdout, stats.Snapshot());
 
   // Storage occupancy of a fresh bib document (paper §3.1: > 96 % on
   // their container pages; a B+-tree with half-splits sits lower).

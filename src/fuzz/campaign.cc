@@ -12,6 +12,7 @@
 #include "util/clock.h"
 #include "util/crash_switch.h"
 #include "util/fault_injector.h"
+#include "util/stats.h"
 
 namespace xtc {
 
@@ -251,8 +252,8 @@ StatusOr<SeedOutcome> RunNet(uint64_t seed, RunConfig run) {
   SeedOutcome out;
   XTC_ASSIGN_OR_RETURN(out.run, RunCluster1(run, &report));
   out.committed = report.committed.size();
-  const NetRunStats& net = out.run.net;
-  if (!net.enabled) {
+  const RunStats& stats = out.run;
+  if (stats.server.sessions_opened == 0) {
     return Status::Internal("run did not use the socket frontend");
   }
 
@@ -279,17 +280,19 @@ StatusOr<SeedOutcome> RunNet(uint64_t seed, RunConfig run) {
 
   // The server was alive the whole time and the lease outlives the run:
   // every torn commit must have been resolved exactly once.
-  if (net.unknown_commits != 0) {
-    return Status::Internal(std::to_string(net.unknown_commits) +
+  if (stats.clients.unknown_commits != 0) {
+    return Status::Internal(std::to_string(stats.clients.unknown_commits) +
                             " commit(s) ended kUnknown with a live server");
   }
-  if (net.sessions_active_end != 0 || net.sessions_parked_end != 0) {
+  if (stats.server.active_sessions != 0 || stats.server.parked_sessions != 0) {
     return Status::Internal(
-        "session leak after drain: " + std::to_string(net.sessions_active_end) +
-        " active, " + std::to_string(net.sessions_parked_end) + " parked");
+        "session leak after drain: " +
+        std::to_string(stats.server.active_sessions) + " active, " +
+        std::to_string(stats.server.parked_sessions) + " parked");
   }
-  out.injuries = net.chaos_drops + net.chaos_truncations + net.chaos_delays +
-                 net.chaos_duplicates + net.chaos_cuts + net.chaos_stalls +
+  const net::ChaosProxyStats& chaos = stats.chaos;
+  out.injuries = chaos.drops + chaos.truncations + chaos.delays +
+                 chaos.duplicates + chaos.cuts + chaos.stalls +
                  report.injected_faults;
   return out;
 }
@@ -584,19 +587,11 @@ Status PairReplicationObserver::DrainAfterStop() {
 }
 
 ReplicationStats PairReplicationObserver::Stats() const {
+  // The shipper fills the shipping side, the follower the apply side and
+  // the freshest watermarks.
   ReplicationStats out;
   if (shipper_ != nullptr) out = shipper_->stats();
-  if (follower_ != nullptr) {
-    const ReplicationStats f = follower_->stats();
-    out.records_applied = f.records_applied;
-    out.pages_applied = f.pages_applied;
-    out.commits_applied = f.commits_applied;
-    out.checkpoints_applied = f.checkpoints_applied;
-    out.reattaches = f.reattaches;
-    out.resyncs = f.resyncs;
-    out.applied_lsn = f.applied_lsn;
-    out.received_lsn = f.received_lsn;
-  }
+  if (follower_ != nullptr) Overlay(&out, follower_->stats());
   out.follower_restarts = restarts_;
   out.enabled = true;
   return out;

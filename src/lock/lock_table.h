@@ -129,6 +129,22 @@ struct LockTableStats {
   /// Times a transaction's whole cache was dropped (ReleaseAll or a
   /// failed request — deadlock/timeout/injected victim).
   uint64_t cache_invalidations = 0;
+
+  /// The public names (util/stats.h; snapshot prefix "lock.").
+  template <typename F>
+  static void Fields(F&& f) {
+    f("requests", &LockTableStats::requests);
+    f("immediate_grants", &LockTableStats::immediate_grants);
+    f("waits", &LockTableStats::waits);
+    f("deadlocks", &LockTableStats::deadlocks);
+    f("conversion_deadlocks", &LockTableStats::conversion_deadlocks);
+    f("timeouts", &LockTableStats::timeouts);
+    f("conversions", &LockTableStats::conversions);
+    f("cancelled", &LockTableStats::cancelled);
+    f("cache_hits", &LockTableStats::cache_hits);
+    f("cache_misses", &LockTableStats::cache_misses);
+    f("cache_invalidations", &LockTableStats::cache_invalidations);
+  }
 };
 
 /// Tri-state toggle for the transaction-private lock cache. kAuto reads

@@ -405,12 +405,14 @@ Status Client::Abort() {
   return RoundTrip(MsgType::kAbort, {}).status();
 }
 
-StatusOr<WireStats> Client::Stats() {
+StatusOr<StatsSnapshot> Client::Stats() {
   auto resp = RoundTrip(MsgType::kStats, {});
   if (!resp.ok()) return resp.status();
   WireReader r(*resp);
-  WireStats stats;
-  if (!GetStats(&r, &stats)) return Status::DataLoss("broken stats response");
+  StatsSnapshot stats;
+  if (!GetSnapshot(&r, &stats)) {
+    return Status::DataLoss("broken stats response");
+  }
   return stats;
 }
 

@@ -273,41 +273,23 @@ bool GetStatus(WireReader* r, Status* st) {
   return false;  // unknown status code: treat as malformed
 }
 
-void PutStats(WireWriter* w, const WireStats& s) {
-  w->I64(s.run_duration_ms);
-  w->U64(s.active_sessions);
-  w->U64(s.active_tx);
-  w->U64(s.admission_rejected);
-  w->U64(s.cancelled_waits);
-  w->U32(static_cast<uint32_t>(s.per_type.size()));
-  for (const WireTypeStats& t : s.per_type) {
-    w->U64(t.committed);
-    w->U64(t.aborted);
-    w->U64(t.retries);
-    w->I64(t.avg_us);
-    w->I64(t.p50_us);
-    w->I64(t.p95_us);
-    w->I64(t.p99_us);
+void PutSnapshot(WireWriter* w, const StatsSnapshot& s) {
+  w->U32(static_cast<uint32_t>(s.size()));
+  for (const StatValue& v : s) {
+    w->Str(v.name);
+    w->U64(v.value);
   }
 }
 
-bool GetStats(WireReader* r, WireStats* s) {
+bool GetSnapshot(WireReader* r, StatsSnapshot* s) {
   uint32_t n;
-  if (!r->I64(&s->run_duration_ms) || !r->U64(&s->active_sessions) ||
-      !r->U64(&s->active_tx) || !r->U64(&s->admission_rejected) ||
-      !r->U64(&s->cancelled_waits) || !r->U32(&n)) {
-    return false;
-  }
-  if (n > kMaxPayload / 56) return false;  // 7 u64 fields per row
-  s->per_type.clear();
+  if (!r->U32(&n)) return false;
+  if (n > kMaxPayload / 12) return false;  // u32 name length + u64 value
+  s->clear();
   for (uint32_t i = 0; i < n; ++i) {
-    WireTypeStats t;
-    if (!r->U64(&t.committed) || !r->U64(&t.aborted) || !r->U64(&t.retries) ||
-        !r->I64(&t.avg_us) || !r->I64(&t.p50_us) || !r->I64(&t.p95_us) ||
-        !r->I64(&t.p99_us)) {
-      return false;
-    }
-    s->per_type.push_back(t);
+    StatValue v;
+    if (!r->Str(&v.name) || !r->U64(&v.value)) return false;
+    s->push_back(std::move(v));
   }
   return true;
 }

@@ -40,12 +40,13 @@
 #include "node/document.h"
 #include "node/node.h"
 #include "splid/splid.h"
+#include "util/stats.h"
 #include "util/status.h"
 
 namespace xtc {
 namespace net {
 
-inline constexpr uint8_t kWireVersion = 1;
+inline constexpr uint8_t kWireVersion = 2;
 inline constexpr size_t kHeaderSize = 20;
 inline constexpr uint32_t kMaxPayload = 1u << 20;  // 1 MiB
 /// Set on the type byte of every response frame.
@@ -174,29 +175,10 @@ bool GetNode(WireReader* r, WireNode* n);
 void PutStatus(WireWriter* w, const Status& st);
 bool GetStatus(WireReader* r, Status* st);
 
-/// Per-type stats row of the kStats response (fixed-width, µs units).
-struct WireTypeStats {
-  uint64_t committed = 0;
-  uint64_t aborted = 0;
-  uint64_t retries = 0;
-  int64_t avg_us = 0;
-  int64_t p50_us = 0;
-  int64_t p95_us = 0;
-  int64_t p99_us = 0;
-};
-
-/// kStats response body.
-struct WireStats {
-  int64_t run_duration_ms = 0;
-  uint64_t active_sessions = 0;
-  uint64_t active_tx = 0;
-  uint64_t admission_rejected = 0;
-  uint64_t cancelled_waits = 0;
-  std::vector<WireTypeStats> per_type;
-};
-
-void PutStats(WireWriter* w, const WireStats& s);
-bool GetStats(WireReader* r, WireStats* s);
+/// kStats response body: u32 count, then count × (string name, u64
+/// value) — a whole stats snapshot (util/stats.h, docs/metrics.md).
+void PutSnapshot(WireWriter* w, const StatsSnapshot& s);
+bool GetSnapshot(WireReader* r, StatsSnapshot* s);
 
 }  // namespace net
 }  // namespace xtc

@@ -1,6 +1,6 @@
 // Replication counters (log shipping + follower apply), surfaced
-// through RunStats and printed by bench/report_metrics when a run had a
-// replication observer attached. Header-only and dependency-free so the
+// through RunStats (snapshot prefix "repl.", all zero when a run had no
+// replication observer attached). Header-only and dependency-free so the
 // metrics layer can embed it without linking src/repl/.
 
 #ifndef XTC_REPL_REPL_STATS_H_
@@ -36,6 +36,24 @@ struct ReplicationStats {
   uint64_t ship_lag_bytes() const {
     return source_durable_lsn > applied_lsn ? source_durable_lsn - applied_lsn
                                             : 0;
+  }
+
+  /// The public names (util/stats.h; snapshot prefix "repl.").
+  template <typename F>
+  static void Fields(F&& f) {
+    f("shipped_bytes", &ReplicationStats::shipped_bytes);
+    f("shipped_chunks", &ReplicationStats::shipped_chunks);
+    f("ship_rounds", &ReplicationStats::ship_rounds);
+    f("records_applied", &ReplicationStats::records_applied);
+    f("pages_applied", &ReplicationStats::pages_applied);
+    f("commits_applied", &ReplicationStats::commits_applied);
+    f("checkpoints_applied", &ReplicationStats::checkpoints_applied);
+    f("reattaches", &ReplicationStats::reattaches);
+    f("resyncs", &ReplicationStats::resyncs);
+    f("follower_restarts", &ReplicationStats::follower_restarts);
+    f("applied_lsn", &ReplicationStats::applied_lsn);
+    f("received_lsn", &ReplicationStats::received_lsn);
+    f("source_durable_lsn", &ReplicationStats::source_durable_lsn);
   }
 };
 

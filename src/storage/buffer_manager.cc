@@ -348,6 +348,8 @@ size_t BufferManager::FramesInIo() const {
 
 BufferPoolStats BufferManager::io_stats() const {
   BufferPoolStats s;
+  s.buffer_hits = hits();
+  s.buffer_misses = misses();
   s.io_in_flight_hwm = io_in_flight_hwm_.load(std::memory_order_relaxed);
   s.coalesced_fetches = coalesced_fetches_.load(std::memory_order_relaxed);
   s.eviction_writebacks =

@@ -111,9 +111,13 @@ class PageGuard {
   bool dirty_ = false;
 };
 
-/// I/O-overlap counters (all monotonically increasing over the pool's
-/// lifetime; read with relaxed ordering, exact only at quiescence).
+/// Hit/miss and I/O-overlap counters (all monotonically increasing over
+/// the pool's lifetime; read with relaxed ordering, exact only at
+/// quiescence).
 struct BufferPoolStats {
+  /// Fetches served from a resident frame / that had to load the page.
+  uint64_t buffer_hits = 0;
+  uint64_t buffer_misses = 0;
   /// High-water mark of page-file reads/writes in flight at once. 1 on a
   /// single-threaded workload; > 1 proves overlapped simulated disk I/O.
   uint64_t io_in_flight_hwm = 0;
@@ -128,6 +132,18 @@ struct BufferPoolStats {
   /// Evictions cancelled because a fetch arrived for the victim while its
   /// write-back was in flight (the frame stayed resident, now clean).
   uint64_t cancelled_evictions = 0;
+
+  /// The public names (util/stats.h; snapshot prefix "storage.").
+  template <typename F>
+  static void Fields(F&& f) {
+    f("buffer_hits", &BufferPoolStats::buffer_hits);
+    f("buffer_misses", &BufferPoolStats::buffer_misses);
+    f("io_in_flight_hwm", &BufferPoolStats::io_in_flight_hwm);
+    f("coalesced_fetches", &BufferPoolStats::coalesced_fetches);
+    f("eviction_writebacks", &BufferPoolStats::eviction_writebacks);
+    f("failed_writebacks", &BufferPoolStats::failed_writebacks);
+    f("cancelled_evictions", &BufferPoolStats::cancelled_evictions);
+  }
 };
 
 class BufferManager {
@@ -158,6 +174,7 @@ class BufferManager {
 
   uint64_t hits() const;
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
+  /// Every counter above, hits and misses included.
   BufferPoolStats io_stats() const;
 
   /// Frames currently pinned (must be 0 when the system is quiescent —

@@ -17,6 +17,7 @@
 #include "tamix/invariants.h"
 #include "tx/transaction_manager.h"
 #include "util/crash_switch.h"
+#include "util/stats.h"
 
 namespace xtc {
 
@@ -249,12 +250,7 @@ struct ClientNetAgg {
 
   void Add(const net::ClientNetStats& s) {
     std::lock_guard<std::mutex> guard(mu);
-    sum.reconnects += s.reconnects;
-    sum.resumes += s.resumes;
-    sum.lease_expired += s.lease_expired;
-    sum.retried_requests += s.retried_requests;
-    sum.unknown_commits += s.unknown_commits;
-    sum.io_timeouts += s.io_timeouts;
+    Accumulate(&sum, s);
   }
 };
 
@@ -491,44 +487,18 @@ StatusOr<RunStats> RunCluster1(const RunConfig& config, ChaosReport* report) {
 
   RunStats stats = metrics.Snapshot();
   stats.lock_stats = bed->protocol->table().GetStats();
-  stats.buffer_hits = bed->doc->buffer().hits();
-  stats.buffer_misses = bed->doc->buffer().misses();
-  stats.buffer_io = bed->doc->buffer().io_stats();
+  stats.buffer = bed->doc->buffer().io_stats();
   if (bed->wal != nullptr) stats.wal = bed->wal->stats();
   if (config.replication != nullptr) {
     stats.repl = config.replication->Stats();
   }
   if (server != nullptr) {
-    const net::ServerStats ss = server->stats();
-    stats.net.enabled = true;
-    stats.net.sessions_accepted = ss.sessions_opened;
-    stats.net.sessions_parked = ss.sessions_parked;
-    stats.net.sessions_resumed = ss.sessions_resumed;
-    stats.net.leases_expired = ss.leases_expired;
-    stats.net.dedup_hits = ss.dedup_hits;
-    // Post-Stop gauges: anything nonzero here is a session leak.
-    stats.net.sessions_active_end = ss.active_sessions;
-    stats.net.sessions_parked_end = ss.parked_sessions;
-    {
-      std::lock_guard<std::mutex> guard(net_agg.mu);
-      stats.net.reconnects = net_agg.sum.reconnects;
-      stats.net.resumes = net_agg.sum.resumes;
-      stats.net.lease_expired = net_agg.sum.lease_expired;
-      stats.net.retried_requests = net_agg.sum.retried_requests;
-      stats.net.unknown_commits = net_agg.sum.unknown_commits;
-      stats.net.io_timeouts = net_agg.sum.io_timeouts;
-    }
-    if (chaos_proxy != nullptr) {
-      const net::ChaosProxyStats cs = chaos_proxy->stats();
-      stats.net.chaos_connections = cs.connections;
-      stats.net.chaos_drops = cs.drops;
-      stats.net.chaos_truncations = cs.truncations;
-      stats.net.chaos_delays = cs.delays;
-      stats.net.chaos_duplicates = cs.duplicates;
-      stats.net.chaos_cuts = cs.cuts;
-      stats.net.chaos_stalls = cs.stalls;
-    }
+    // Post-Stop: a nonzero active/parked session gauge is a leak.
+    stats.server = server->stats();
+    std::lock_guard<std::mutex> guard(net_agg.mu);
+    stats.clients = net_agg.sum;
   }
+  if (chaos_proxy != nullptr) stats.chaos = chaos_proxy->stats();
   stats.run_duration_ms = elapsed_ms;
 
   if (bed->faults != nullptr) {

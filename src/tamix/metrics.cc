@@ -49,6 +49,34 @@ int64_t LatencyHistogram::PercentileUs(double p) const {
   return BucketUpper(kBuckets - 1);
 }
 
+StatsSnapshot RunStats::Snapshot() const {
+  StatsSnapshot out;
+  out.push_back({"run.duration_ms", static_cast<uint64_t>(run_duration_ms)});
+  for (int t = 0; t < kNumTxTypes; ++t) {
+    const TxTypeStats& s = per_type[static_cast<size_t>(t)];
+    const std::string prefix =
+        "tx." + std::string(TxTypeName(static_cast<TxType>(t))) + ".";
+    AppendFields(prefix, s, &out);
+    out.push_back({prefix + "avg_us",
+                   static_cast<uint64_t>(s.avg_duration_ms() * 1000.0)});
+    out.push_back({prefix + "p50_us",
+                   static_cast<uint64_t>(s.latency.PercentileUs(0.50))});
+    out.push_back({prefix + "p95_us",
+                   static_cast<uint64_t>(s.latency.PercentileUs(0.95))});
+    out.push_back({prefix + "p99_us",
+                   static_cast<uint64_t>(s.latency.PercentileUs(0.99))});
+  }
+  AppendFields("lock.", lock_stats, &out);
+  AppendFields("storage.", buffer, &out);
+  AppendFields("wal.", wal, &out);
+  AppendFields("repl.", repl, &out);
+  out.push_back({"repl.ship_lag_bytes", repl.ship_lag_bytes()});
+  AppendFields("net.server.", server, &out);
+  AppendFields("net.client.", clients, &out);
+  AppendFields("net.chaos.", chaos, &out);
+  return out;
+}
+
 void MetricsCollector::MarkRunStart() {
   MutexLock guard(mu_);
   started_ = true;

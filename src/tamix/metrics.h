@@ -10,12 +10,14 @@
 #include <string>
 
 #include "lock/lock_table.h"
+#include "net/net_stats.h"
 #include "repl/repl_stats.h"
 #include "storage/buffer_manager.h"
 #include "tamix/transactions.h"
 #include "wal/wal.h"
 #include "util/clock.h"
 #include "util/mutex.h"
+#include "util/stats.h"
 #include "util/thread_annotations.h"
 
 namespace xtc {
@@ -70,60 +72,38 @@ struct TxTypeStats {
   double p50_ms() const { return latency.PercentileUs(0.50) / 1000.0; }
   double p95_ms() const { return latency.PercentileUs(0.95) / 1000.0; }
   double p99_ms() const { return latency.PercentileUs(0.99) / 1000.0; }
+
+  /// The public names (util/stats.h; snapshot prefix "tx.<type>."). The
+  /// histogram is not listed: the snapshot adds its avg/p50/p95/p99.
+  template <typename F>
+  static void Fields(F&& f) {
+    f("committed", &TxTypeStats::committed);
+    f("aborted", &TxTypeStats::aborted);
+    f("deadlock_aborts", &TxTypeStats::deadlock_aborts);
+    f("timeout_aborts", &TxTypeStats::timeout_aborts);
+    f("retries", &TxTypeStats::retries);
+    f("undo_failures", &TxTypeStats::undo_failures);
+    f("total_duration_us", &TxTypeStats::total_duration_us);
+    f("min_duration_us", &TxTypeStats::min_duration_us);
+    f("max_duration_us", &TxTypeStats::max_duration_us);
+  }
 };
 
-/// Socket-frontend resilience counters for one run (enabled=false when
-/// the run used the in-process frontend). Server-side numbers come from
-/// the embedded net::Server, client-side numbers are summed over every
-/// worker's net::Client, chaos numbers from the interposed proxy (all
-/// zero without one).
-struct NetRunStats {
-  bool enabled = false;
-  // Server side.
-  uint64_t sessions_accepted = 0;
-  uint64_t sessions_parked = 0;   // disconnects parked under a lease
-  uint64_t sessions_resumed = 0;  // successful kResume adoptions
-  uint64_t leases_expired = 0;    // parked cores that aged out
-  uint64_t dedup_hits = 0;        // retried requests answered from table
-  // Post-drain gauges (leak check: both must be zero after Stop).
-  uint64_t sessions_active_end = 0;
-  uint64_t sessions_parked_end = 0;
-  // Client side (summed over workers).
-  uint64_t reconnects = 0;
-  uint64_t resumes = 0;
-  uint64_t lease_expired = 0;
-  uint64_t retried_requests = 0;
-  uint64_t unknown_commits = 0;
-  uint64_t io_timeouts = 0;
-  // Chaos proxy.
-  uint64_t chaos_connections = 0;
-  uint64_t chaos_drops = 0;
-  uint64_t chaos_truncations = 0;
-  uint64_t chaos_delays = 0;
-  uint64_t chaos_duplicates = 0;
-  uint64_t chaos_cuts = 0;
-  uint64_t chaos_stalls = 0;
-};
-
+/// Everything one run measured: the per-type workload counters plus
+/// each component's own stats struct, embedded as it is. Components a
+/// run did not have (WAL, replication, socket front-end, chaos proxy)
+/// stay all zero.
 struct RunStats {
   std::array<TxTypeStats, kNumTxTypes> per_type;
   LockTableStats lock_stats;
-  /// Buffer-pool behaviour over the run: hit/miss counts plus the
-  /// I/O-overlap counters (in-flight high-water mark, coalesced fetches,
-  /// eviction write-backs) from the document's BufferManager.
-  uint64_t buffer_hits = 0;
-  uint64_t buffer_misses = 0;
-  BufferPoolStats buffer_io;
-  /// WAL behaviour over the run (all-zero when the run had no WAL):
-  /// appends, forced syncs, checkpoints, and — after a restart — the
-  /// recovery counters (records redone, losers undone).
+  BufferPoolStats buffer;
   WalStats wal;
-  /// Log-shipping replication counters (enabled=false when the run had
-  /// no replication observer attached).
   ReplicationStats repl;
-  /// Socket-frontend resilience counters (enabled=false when the run
-  /// used the in-process frontend).
-  NetRunStats net;
+  /// Socket front-end: the embedded server, the sum over every worker's
+  /// client, and the interposed chaos proxy.
+  net::ServerStats server;
+  net::ClientNetStats clients;
+  net::ChaosProxyStats chaos;
   int64_t run_duration_ms = 0;
 
   uint64_t total_committed() const {
@@ -137,25 +117,6 @@ struct RunStats {
     return n;
   }
   uint64_t total_deadlocks() const { return lock_stats.deadlocks; }
-  /// Deadlocks closed by a lock-conversion wait — the paper's dominant
-  /// flavour; the gap to total_deadlocks() is fresh-request cycles.
-  uint64_t conversion_deadlocks() const {
-    return lock_stats.conversion_deadlocks;
-  }
-  /// Tx-private lock cache behaviour over the run (zero when disabled).
-  /// A hit is a lock-table round trip skipped entirely — the headline
-  /// number of the cache ablation in EXPERIMENTS.md.
-  uint64_t lock_cache_hits() const { return lock_stats.cache_hits; }
-  uint64_t lock_cache_misses() const { return lock_stats.cache_misses; }
-  uint64_t lock_cache_invalidations() const {
-    return lock_stats.cache_invalidations;
-  }
-  double lock_cache_hit_rate() const {
-    const uint64_t total = lock_stats.cache_hits + lock_stats.cache_misses;
-    return total == 0 ? 0.0
-                      : static_cast<double>(lock_stats.cache_hits) /
-                            static_cast<double>(total);
-  }
   uint64_t total_retries() const {
     uint64_t n = 0;
     for (const auto& s : per_type) n += s.retries;
@@ -184,6 +145,11 @@ struct RunStats {
   double p50_ms() const { return merged_latency().PercentileUs(0.50) / 1000.0; }
   double p95_ms() const { return merged_latency().PercentileUs(0.95) / 1000.0; }
   double p99_ms() const { return merged_latency().PercentileUs(0.99) / 1000.0; }
+
+  /// Every counter as one ordered flat list of named values (names in
+  /// docs/metrics.md): run.*, tx.<type>.*, lock.*, storage.*, wal.*,
+  /// repl.*, net.server.*, net.client.*, net.chaos.*.
+  StatsSnapshot Snapshot() const;
 };
 
 /// Thread-safe collector the workers report into.

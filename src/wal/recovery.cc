@@ -120,10 +120,8 @@ StatusOr<OpenResult> OpenDatabase(const StorageOptions& storage,
   RedoApplier redo(&sink);
   Status redo_st = redo.ApplyAll(records, redo_start);
   if (!redo_st.ok()) return redo_failed(redo_st.Annotate("recovery redo"));
-  const uint64_t records_redone = redo.stats().records_redone;
-  const uint64_t pages_redone = redo.stats().pages_redone;
-  result.stats.records_redone = records_redone;
-  result.stats.pages_redone = pages_redone;
+  result.stats.records_redone = redo.stats().records_redone;
+  result.stats.pages_redone = redo.stats().pages_redone;
 
   // --- Rebuild the document over the repaired image -----------------------
   result.doc = std::make_unique<Document>(storage, file.CloneImage(), dist);
@@ -203,7 +201,6 @@ StatusOr<OpenResult> OpenDatabase(const StorageOptions& storage,
     }
   }
   result.stats.losers_undone = losers;
-  result.wal->SetRecoveryCounters(records_redone, pages_redone, losers);
 
   // The free list is volatile state the crash discarded; rebuild it from
   // a walk of the recovered trees.

@@ -487,14 +487,6 @@ WalStats Wal::stats() const {
   return stats_;
 }
 
-void Wal::SetRecoveryCounters(uint64_t records_redone, uint64_t pages_redone,
-                              uint64_t losers_undone) {
-  MutexLock guard(mu_);
-  stats_.records_redone = records_redone;
-  stats_.pages_redone = pages_redone;
-  stats_.losers_undone = losers_undone;
-}
-
 std::vector<std::pair<uint64_t, Lsn>> Wal::ActiveTxTable() const {
   MutexLock guard(mu_);
   return {tx_last_lsn_.begin(), tx_last_lsn_.end()};

@@ -151,12 +151,17 @@ struct WalStats {
   uint64_t flush_failures = 0;  // clean wal.flush injections
   uint64_t commits_logged = 0;
   uint64_t checkpoints_taken = 0;
-  // Restart-recovery counters (zero outside recovery; OpenDatabase sets
-  // them on the wal it hands back so RunStats/report_metrics can expose
-  // them — satellite of ISSUE 5).
-  uint64_t records_redone = 0;
-  uint64_t pages_redone = 0;
-  uint64_t losers_undone = 0;
+
+  /// The public names (util/stats.h; snapshot prefix "wal.").
+  template <typename F>
+  static void Fields(F&& f) {
+    f("records_appended", &WalStats::records_appended);
+    f("bytes_appended", &WalStats::bytes_appended);
+    f("syncs", &WalStats::syncs);
+    f("flush_failures", &WalStats::flush_failures);
+    f("commits_logged", &WalStats::commits_logged);
+    f("checkpoints_taken", &WalStats::checkpoints_taken);
+  }
 };
 
 struct WalOptions {
@@ -248,8 +253,6 @@ class Wal : public WalBackend {
 
   Lsn last_checkpoint_lsn() const XTC_EXCLUDES(mu_);
   WalStats stats() const XTC_EXCLUDES(mu_);
-  void SetRecoveryCounters(uint64_t records_redone, uint64_t pages_redone,
-                           uint64_t losers_undone) XTC_EXCLUDES(mu_);
 
   /// Active-transaction table (tx -> last update LSN) for checkpoints.
   std::vector<std::pair<uint64_t, Lsn>> ActiveTxTable() const

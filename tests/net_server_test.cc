@@ -17,6 +17,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -617,15 +618,26 @@ TEST_F(NetServerTest, AllTaMixBodiesRunRemotely) {
   EXPECT_EQ(server_->stats().tx_committed, 5u);
 
   // The server-side metrics saw them: live snapshot mid-run (the
-  // MarkRunStart fix) and per-type latency percentiles.
+  // MarkRunStart fix), per-type latency percentiles, and the lock,
+  // buffer and server counters behind them.
   auto stats = client.Stats();
   ASSERT_TRUE(stats.ok());
-  EXPECT_GT(stats->run_duration_ms, 0);
-  ASSERT_EQ(stats->per_type.size(), static_cast<size_t>(kNumTxTypes));
+  std::map<std::string, uint64_t> by_name;
+  for (const StatValue& v : *stats) by_name[v.name] = v.value;
+  EXPECT_EQ(by_name.size(), stats->size()) << "duplicate snapshot names";
+  EXPECT_GT(by_name.at("run.duration_ms"), 0u);
   uint64_t committed = 0;
-  for (const auto& row : stats->per_type) committed += row.committed;
+  for (int t = 0; t < kNumTxTypes; ++t) {
+    committed +=
+        by_name.at("tx." + std::string(TxTypeName(static_cast<TxType>(t))) +
+                   ".committed");
+  }
   EXPECT_EQ(committed, 5u);
-  EXPECT_GT(stats->per_type[0].p99_us, 0);
+  EXPECT_GT(by_name.at("tx.TAqueryBook.p99_us"), 0u);
+  EXPECT_GT(by_name.at("lock.requests"), 0u);
+  EXPECT_GT(by_name.at("storage.buffer_hits"), 0u);
+  EXPECT_GE(by_name.at("net.server.sessions_opened"), 1u);
+  EXPECT_EQ(by_name.at("net.server.tx_committed"), 5u);
 }
 
 TEST_F(NetServerTest, WorkloadInfoShipsTheCatalog) {

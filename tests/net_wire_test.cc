@@ -344,50 +344,49 @@ TEST(WireCompositeTest, UnknownStatusCodeRejected) {
   EXPECT_FALSE(GetStatus(&r, &decoded));
 }
 
-TEST(WireCompositeTest, StatsRoundTrip) {
-  WireStats original;
-  original.run_duration_ms = 1234;
-  original.active_sessions = 72;
-  original.active_tx = 48;
-  original.admission_rejected = 9;
-  original.cancelled_waits = 3;
-  for (int t = 0; t < 5; ++t) {
-    WireTypeStats row;
-    row.committed = 100u + static_cast<uint64_t>(t);
-    row.aborted = static_cast<uint64_t>(t);
-    row.retries = 2;
-    row.avg_us = 1500;
-    row.p50_us = 1000;
-    row.p95_us = 4000;
-    row.p99_us = 9000;
-    original.per_type.push_back(row);
-  }
-  WireWriter w;
-  PutStats(&w, original);
-  WireReader r(w.str());
-  WireStats decoded;
-  ASSERT_TRUE(GetStats(&r, &decoded));
-  EXPECT_TRUE(r.AtEnd());
-  EXPECT_EQ(decoded.run_duration_ms, 1234);
-  EXPECT_EQ(decoded.active_sessions, 72u);
-  ASSERT_EQ(decoded.per_type.size(), 5u);
-  EXPECT_EQ(decoded.per_type[4].committed, 104u);
-  EXPECT_EQ(decoded.per_type[4].p99_us, 9000);
+StatsSnapshot SampleSnapshot() {
+  return {{"run.duration_ms", 1234},
+          {"tx.TAqueryBook.p99_us", 9000},
+          {"lock.cancelled", 3},
+          {"net.server.active_sessions", 72},
+          {"storage.buffer_hits", 0xfedcba9876543210ull}};
 }
 
-TEST(WireCompositeTest, StatsLyingRowCountRejected) {
-  // A count field promising ~billions of rows must fail the bounds check
-  // instead of allocating.
+TEST(WireCompositeTest, SnapshotRoundTrip) {
+  const StatsSnapshot original = SampleSnapshot();
   WireWriter w;
-  w.I64(0);   // run_duration_ms
-  w.U64(0);   // active_sessions
-  w.U64(0);   // active_tx
-  w.U64(0);   // admission_rejected
-  w.U64(0);   // cancelled_waits
-  w.U32(0xfffffff0u);  // per-type row count
+  PutSnapshot(&w, original);
   WireReader r(w.str());
-  WireStats decoded;
-  EXPECT_FALSE(GetStats(&r, &decoded));
+  StatsSnapshot decoded;
+  ASSERT_TRUE(GetSnapshot(&r, &decoded));
+  EXPECT_TRUE(r.AtEnd());
+  EXPECT_EQ(decoded, original);
+}
+
+TEST(WireCompositeTest, TruncatedSnapshotRejected) {
+  WireWriter w;
+  PutSnapshot(&w, SampleSnapshot());
+  // Every strict prefix is missing part of a name or value (or the count).
+  for (size_t len = 0; len < w.str().size(); ++len) {
+    WireReader r(std::string_view(w.str()).substr(0, len));
+    StatsSnapshot decoded;
+    EXPECT_FALSE(GetSnapshot(&r, &decoded)) << "prefix of " << len << " bytes";
+  }
+}
+
+TEST(WireCompositeTest, SnapshotOversizedCountRejected) {
+  // More pairs than a maximal payload can hold (each takes at least 12
+  // bytes) fail the bounds check, even when the bytes are all there.
+  const uint32_t n = kMaxPayload / 12 + 1;
+  WireWriter w;
+  w.U32(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    w.Str("");
+    w.U64(i);
+  }
+  WireReader r(w.str());
+  StatsSnapshot decoded;
+  EXPECT_FALSE(GetSnapshot(&r, &decoded));
 }
 
 }  // namespace

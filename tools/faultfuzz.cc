@@ -76,13 +76,15 @@ void PrintSeed(Campaign campaign, uint64_t seed, const SeedOutcome& o) {
                   static_cast<unsigned long long>(o.run.repl.shipped_bytes),
                   static_cast<unsigned long long>(o.db.stats.losers_undone));
       break;
-    case Campaign::kNet:
+    case Campaign::kNet: {
+      const net::ServerStats& server = o.run.server;
       std::printf(" reconnects=%llu resumes=%llu dedup=%llu parked=%llu",
-                  static_cast<unsigned long long>(o.run.net.reconnects),
-                  static_cast<unsigned long long>(o.run.net.sessions_resumed),
-                  static_cast<unsigned long long>(o.run.net.dedup_hits),
-                  static_cast<unsigned long long>(o.run.net.sessions_parked));
+                  static_cast<unsigned long long>(o.run.clients.reconnects),
+                  static_cast<unsigned long long>(server.sessions_resumed),
+                  static_cast<unsigned long long>(server.dedup_hits),
+                  static_cast<unsigned long long>(server.sessions_parked));
       break;
+    }
   }
   std::printf("\n");
 }

@@ -4,9 +4,10 @@
 // fetches the workload catalog over the wire (kWorkloadInfo), spawns the
 // paper's CLUSTER1 client mix — each worker on its own connection, each
 // transaction begun/committed on the server — and reports committed /
-// aborted counts and latency percentiles per transaction type. This is
-// the paper's actual topology: TaMix clients were separate machines
-// driving the XTC server remotely.
+// aborted counts and latency percentiles per transaction type, then the
+// server's own stats snapshot fetched over the wire (kStats,
+// docs/metrics.md). This is the paper's actual topology: TaMix clients
+// were separate machines driving the XTC server remotely.
 //
 // Usage:
 //   tamix_client --port N [--host H] [--seconds S] [--clients N]
@@ -36,6 +37,7 @@
 
 #include "net/client.h"
 #include "tamix/metrics.h"
+#include "util/stats.h"
 
 using namespace xtc;
 
@@ -227,6 +229,18 @@ int main(int argc, char** argv) {
   RunStats stats = metrics.Snapshot();
   stats.run_duration_ms = ToMillis(Now() - start);
 
+  // The server's view of the same run: its whole stats snapshot.
+  net::Client stats_client;
+  const Status connected = stats_client.Connect(config.host, config.port);
+  const StatusOr<StatsSnapshot> remote =
+      connected.ok() ? stats_client.Stats()
+                     : StatusOr<StatsSnapshot>(connected);
+  if (!remote.ok()) {
+    std::fprintf(stderr, "cannot fetch server stats: %s\n",
+                 remote.status().ToString().c_str());
+    return 1;
+  }
+
   if (json) {
     std::printf("{\n");
     std::printf("  \"clients\": %d,\n", clients);
@@ -253,7 +267,9 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(s.aborted), s.p99_ms(),
                   t + 1 < kNumTxTypes ? "," : "");
     }
-    std::printf("  }\n}\n");
+    std::printf("  },\n  \"server\": ");
+    PrintStatsJson(stdout, *remote);
+    std::printf("}\n");
   } else {
     std::printf("# remote TaMix: %d clients x 24 workers, %llds over "
                 "%s:%u\n",
@@ -277,6 +293,8 @@ int main(int argc, char** argv) {
                 stats.p50_ms(), stats.p95_ms(), stats.p99_ms());
     std::printf("throughput: %.0f committed / 5 paper-min\n",
                 stats.throughput_per_5min());
+    std::printf("\n# server stats\n");
+    PrintStatsText(stdout, *remote);
   }
   return stats.total_committed() > 0 ? 0 : 1;
 }

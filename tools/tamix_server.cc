@@ -4,7 +4,8 @@
 // manager), starts the socket front-end on loopback and serves remote
 // TaMix clients (tools/tamix_client) until stdin reaches EOF or
 // --seconds elapses. Prints "listening on port N" on stdout (flushed)
-// so scripts can grab the ephemeral port.
+// so scripts can grab the ephemeral port, and its stats snapshot
+// (docs/metrics.md) after the drain.
 //
 // Usage:
 //   tamix_server [--port N] [--seconds S] [--protocol P]
@@ -19,7 +20,7 @@
 // --workers N          request worker threads (default 32)
 // --max-tx N           admission cap on in-flight transactions (default 64)
 // --wait-timeout-ms N  lock wait timeout (default 3000)
-// --json               print final server stats as JSON
+// --json               print the final stats snapshot as JSON
 
 #include <cstdio>
 #include <cstdlib>
@@ -32,6 +33,7 @@
 #include "protocols/protocol_registry.h"
 #include "tamix/bib_generator.h"
 #include "tx/transaction_manager.h"
+#include "util/stats.h"
 
 using namespace xtc;
 
@@ -122,37 +124,12 @@ int main(int argc, char** argv) {
   }
   server.Stop();
 
-  const net::ServerStats stats = server.stats();
+  // The server's whole snapshot (docs/metrics.md), as kStats ships it.
+  const StatsSnapshot stats = server.run_stats().Snapshot();
   if (json) {
-    std::printf("{\n");
-    std::printf("  \"sessions_opened\": %llu,\n",
-                static_cast<unsigned long long>(stats.sessions_opened));
-    std::printf("  \"frames_received\": %llu,\n",
-                static_cast<unsigned long long>(stats.frames_received));
-    std::printf("  \"responses_sent\": %llu,\n",
-                static_cast<unsigned long long>(stats.responses_sent));
-    std::printf("  \"protocol_errors\": %llu,\n",
-                static_cast<unsigned long long>(stats.protocol_errors));
-    std::printf("  \"admission_rejected\": %llu,\n",
-                static_cast<unsigned long long>(stats.admission_rejected));
-    std::printf("  \"tx_begun\": %llu,\n",
-                static_cast<unsigned long long>(stats.tx_begun));
-    std::printf("  \"tx_committed\": %llu,\n",
-                static_cast<unsigned long long>(stats.tx_committed));
-    std::printf("  \"tx_aborted\": %llu\n",
-                static_cast<unsigned long long>(stats.tx_aborted));
-    std::printf("}\n");
+    PrintStatsJson(stdout, stats);
   } else {
-    std::printf(
-        "served %llu sessions, %llu frames; %llu tx begun, %llu committed, "
-        "%llu aborted, %llu rejected by admission, %llu protocol errors\n",
-        static_cast<unsigned long long>(stats.sessions_opened),
-        static_cast<unsigned long long>(stats.frames_received),
-        static_cast<unsigned long long>(stats.tx_begun),
-        static_cast<unsigned long long>(stats.tx_committed),
-        static_cast<unsigned long long>(stats.tx_aborted),
-        static_cast<unsigned long long>(stats.admission_rejected),
-        static_cast<unsigned long long>(stats.protocol_errors));
+    PrintStatsText(stdout, stats);
   }
   // A leaked transaction here means a session teardown path lost one.
   if (tx_manager.num_active() != 0) {
