@@ -1,5 +1,9 @@
 // Microbenchmarks for the storage substrate: B+-tree point operations
-// and document navigation primitives.
+// and document navigation primitives. The navigation benchmarks also run
+// on 4 threads, each on its own book, so that the document latch, the
+// buffer pool's hit path and the per-thread leaf hints are exercised
+// concurrently. BENCH_storage.json holds the committed baseline rows
+// (--benchmark_format=json).
 
 #include <benchmark/benchmark.h>
 
@@ -49,18 +53,24 @@ void BM_DocumentIdJump(benchmark::State& state) {
 }
 BENCHMARK(BM_DocumentIdJump);
 
+// A different book per thread (books b0, b1, ... are distinct subtrees).
+Splid BookOf(Document& doc, const benchmark::State& state, int base) {
+  return *doc.LookupId("b" + std::to_string(base + state.thread_index()));
+}
+
 void BM_DocumentFirstChild(benchmark::State& state) {
   Document& doc = Bib();
-  Splid book = *doc.LookupId("b0");
+  Splid book = BookOf(doc, state, 0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(doc.FirstChild(book));
   }
 }
 BENCHMARK(BM_DocumentFirstChild);
+BENCHMARK(BM_DocumentFirstChild)->Threads(4);
 
 void BM_DocumentNextSibling(benchmark::State& state) {
   Document& doc = Bib();
-  Splid book = *doc.LookupId("b0");
+  Splid book = BookOf(doc, state, 0);
   auto first = doc.FirstChild(book);
   Splid title = (**first).splid;
   for (auto _ : state) {
@@ -68,6 +78,7 @@ void BM_DocumentNextSibling(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DocumentNextSibling);
+BENCHMARK(BM_DocumentNextSibling)->Threads(4);
 
 void BM_DocumentSubtreeScan(benchmark::State& state) {
   Document& doc = Bib();
@@ -81,12 +92,13 @@ BENCHMARK(BM_DocumentSubtreeScan);
 
 void BM_DocumentChildren(benchmark::State& state) {
   Document& doc = Bib();
-  Splid book = *doc.LookupId("b2");
+  Splid book = BookOf(doc, state, 2);
   for (auto _ : state) {
     benchmark::DoNotOptimize(doc.Children(book));
   }
 }
 BENCHMARK(BM_DocumentChildren);
+BENCHMARK(BM_DocumentChildren)->Threads(4);
 
 }  // namespace
 }  // namespace xtc

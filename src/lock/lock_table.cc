@@ -43,6 +43,12 @@ LockTable::LockTable(const ModeTable* modes, LockTableOptions options)
 
 LockTable::~LockTable() = default;
 
+void LockTable::CountDeniedRequest(std::string_view resource) {
+  Shard& shard = ShardFor(resource);
+  MutexLock guard(shard.mu);
+  ++shard.requests;
+}
+
 LockTable::Shard& LockTable::ShardFor(std::string_view resource) const {
   size_t h = std::hash<std::string_view>{}(resource);
   return *shards_[h % shards_.size()];
@@ -131,7 +137,7 @@ LockOutcome LockTable::Lock(uint64_t tx, std::string_view resource,
   // operation; cancel_mu_ is only touched while sessions are actually
   // being torn down.
   if (IsCancelled(tx)) {
-    stat_requests_.fetch_add(1, std::memory_order_relaxed);
+    CountDeniedRequest(resource);
     stat_cancelled_.fetch_add(1, std::memory_order_relaxed);
     if (cache_enabled_) CacheInvalidate(tx);
     return {Status::Cancelled(), kNoMode, kNoMode};
@@ -147,7 +153,6 @@ LockOutcome LockTable::Lock(uint64_t tx, std::string_view resource,
       return out;
     }
   }
-  stat_requests_.fetch_add(1, std::memory_order_relaxed);
   LockOutcome out = LockSlow(tx, resource, mode, duration);
   if (cache_enabled_) {
     if (out.status.ok()) {
@@ -169,10 +174,12 @@ LockOutcome LockTable::LockSlow(uint64_t tx, std::string_view resource,
     // denied exactly as a real timeout/victim denial would be, and the
     // caller must abort (releasing whatever it already holds).
     if (options_.fault_injector->ShouldFail(fault_points::kLockTimeout)) {
+      CountDeniedRequest(resource);
       stat_timeouts_.fetch_add(1, std::memory_order_relaxed);
       return {Status::LockTimeout("injected lock timeout"), kNoMode, kNoMode};
     }
     if (options_.fault_injector->ShouldFail(fault_points::kLockDeadlock)) {
+      CountDeniedRequest(resource);
       stat_deadlocks_.fetch_add(1, std::memory_order_relaxed);
       DeadlockEvent event;
       event.victim = tx;
@@ -191,6 +198,7 @@ LockOutcome LockTable::LockSlow(uint64_t tx, std::string_view resource,
   }
   Shard& shard = ShardFor(resource);
   MutexLock guard(shard.mu);
+  ++shard.requests;
 
   Resource* r = GetOrCreate(&shard, resource);
   Held* held = FindHeld(r, tx);
@@ -213,12 +221,12 @@ LockOutcome LockTable::LockSlow(uint64_t tx, std::string_view resource,
       } else {
         held->short_mode = modes_->Convert(held->short_mode, mode).result;
       }
-      stat_immediate_.fetch_add(1, std::memory_order_relaxed);
+      ++shard.immediate_grants;
       if (options_.nonblocking) OnNonblockingGrant(tx, resource, target, target,
                                                   duration);
       return {Status::OK(), held->effective, children_mode, held->long_mode};
     }
-    stat_conversions_.fetch_add(1, std::memory_order_relaxed);
+    ++shard.conversions;
   }
 
   // Fast path.
@@ -226,7 +234,7 @@ LockOutcome LockTable::LockSlow(uint64_t tx, std::string_view resource,
       CompatibleWithHolders(*r, tx, target)) {
     const ModeId previous = is_conversion ? held->effective : kNoMode;
     const Held* h = GrantLocked(&shard, r, tx, mode, target, duration);
-    stat_immediate_.fetch_add(1, std::memory_order_relaxed);
+    ++shard.immediate_grants;
     if (options_.nonblocking) OnNonblockingGrant(tx, resource, previous,
                                                  target, duration);
     return {Status::OK(), target, children_mode, h->long_mode};
@@ -662,14 +670,17 @@ size_t LockTable::LocksHeldBy(uint64_t tx) const {
 
 LockTableStats LockTable::GetStats() const {
   LockTableStats s;
-  s.requests = stat_requests_.load(std::memory_order_relaxed);
-  s.immediate_grants = stat_immediate_.load(std::memory_order_relaxed);
+  for (const auto& shard : shards_) {
+    MutexLock guard(shard->mu);
+    s.requests += shard->requests;
+    s.immediate_grants += shard->immediate_grants;
+    s.conversions += shard->conversions;
+  }
   s.waits = stat_waits_.load(std::memory_order_relaxed);
   s.deadlocks = stat_deadlocks_.load(std::memory_order_relaxed);
   s.conversion_deadlocks =
       stat_conv_deadlocks_.load(std::memory_order_relaxed);
   s.timeouts = stat_timeouts_.load(std::memory_order_relaxed);
-  s.conversions = stat_conversions_.load(std::memory_order_relaxed);
   s.cancelled = stat_cancelled_.load(std::memory_order_relaxed);
   s.cache_invalidations =
       stat_cache_invalidations_.load(std::memory_order_relaxed);
@@ -679,7 +690,7 @@ LockTableStats LockTable::GetStats() const {
     s.cache_misses += cs->misses;
   }
   // A cache hit is an immediately granted request that never reached the
-  // global counters.
+  // shard counters.
   s.requests += s.cache_hits;
   s.immediate_grants += s.cache_hits;
   return s;
@@ -692,13 +703,16 @@ std::vector<DeadlockEvent> LockTable::RecentDeadlocks() const {
 }
 
 void LockTable::ResetStats() {
-  stat_requests_.store(0, std::memory_order_relaxed);
-  stat_immediate_.store(0, std::memory_order_relaxed);
+  for (const auto& shard : shards_) {
+    MutexLock guard(shard->mu);
+    shard->requests = 0;
+    shard->immediate_grants = 0;
+    shard->conversions = 0;
+  }
   stat_waits_.store(0, std::memory_order_relaxed);
   stat_deadlocks_.store(0, std::memory_order_relaxed);
   stat_conv_deadlocks_.store(0, std::memory_order_relaxed);
   stat_timeouts_.store(0, std::memory_order_relaxed);
-  stat_conversions_.store(0, std::memory_order_relaxed);
   stat_cancelled_.store(0, std::memory_order_relaxed);
   stat_cache_invalidations_.store(0, std::memory_order_relaxed);
   for (const auto& cs : cache_shards_) {

@@ -301,7 +301,7 @@ class LockTable {
     }
   };
 
-  struct Shard {
+  struct alignas(64) Shard {
     mutable Mutex mu;
     std::condition_variable cv;
     std::unordered_map<std::string, std::unique_ptr<Resource>, StringHash,
@@ -310,6 +310,12 @@ class LockTable {
     // Resources in this shard each transaction holds locks on.
     std::unordered_map<uint64_t, std::vector<Resource*>>
         tx_locks XTC_GUARDED_BY(mu);
+    // Table-request counters, plain fields under the mutex every request
+    // takes anyway (process-wide atomics bounced one cache line between
+    // all threads on every request); GetStats sums them.
+    uint64_t requests XTC_GUARDED_BY(mu) = 0;
+    uint64_t immediate_grants XTC_GUARDED_BY(mu) = 0;
+    uint64_t conversions XTC_GUARDED_BY(mu) = 0;
   };
 
   // --- Transaction-private cache (see file comment) ---
@@ -359,6 +365,9 @@ class LockTable {
   void CacheInvalidate(uint64_t tx);
 
   Shard& ShardFor(std::string_view resource) const;
+  /// Counts a request denied before it reached the table (cancelled or
+  /// injected) in its resource's shard.
+  void CountDeniedRequest(std::string_view resource);
 
   /// True when CancelWaiters() fired or `tx` is individually cancelled.
   bool IsCancelled(uint64_t tx) const XTC_EXCLUDES(cancel_mu_);
@@ -421,9 +430,8 @@ class LockTable {
   mutable Mutex cancel_mu_ XTC_ACQUIRED_AFTER();
   std::unordered_set<uint64_t> cancelled_txs_ XTC_GUARDED_BY(cancel_mu_);
 
-  // Statistics (relaxed atomics; exactness is not required).
-  std::atomic<uint64_t> stat_requests_{0};
-  std::atomic<uint64_t> stat_immediate_{0};
+  // Statistics (relaxed atomics; exactness is not required). Requests,
+  // immediate grants and conversions are counted per Shard.
   std::atomic<uint64_t> stat_waits_{0};
   std::atomic<uint64_t> stat_deadlocks_{0};
   std::atomic<uint64_t> stat_conv_deadlocks_{0};

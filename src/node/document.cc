@@ -192,6 +192,13 @@ Status Document::ReattachTrees(const WalTreeMeta& meta) {
   return Status::OK();
 }
 
+void Document::InvalidateLeafHints() {
+  WriterMutexLock latch(mu_);
+  doc_->InvalidateHints();
+  elements_->tree().InvalidateHints();
+  ids_->tree().InvalidateHints();
+}
+
 Status Document::LogCheckpoint() {
   WriterMutexLock latch(mu_);
   if (wal_ == nullptr) {
@@ -824,6 +831,42 @@ StatusOr<std::vector<Node>> Document::Children(const Splid& parent,
       continue;
     }
     child = std::move(next);
+  }
+  return out;
+}
+
+StatusOr<std::vector<std::pair<std::string, std::string>>>
+Document::AttributeValues(const Splid& attr_root) const {
+  ReaderMutexLock latch(mu_);
+  std::vector<std::pair<std::string, std::string>> out;
+  const std::string enc = attr_root.Encode();
+  // The subtree in document order: each attribute is directly followed
+  // by its string child (division 1 sorts before any other child).
+  std::optional<Splid> pending;  // attribute still waiting for its string
+  auto it = doc_->NewIterator();
+  for (it.Seek(enc + '\0'); it.Valid(); it.Next()) {
+    if (it.key().size() <= enc.size() ||
+        it.key().compare(0, enc.size(), enc) != 0) {
+      break;
+    }
+    auto splid = Splid::Decode(it.key());
+    auto rec = NodeRecord::Decode(it.value());
+    if (!splid.has_value() || !rec.has_value()) {
+      return Status::Internal("corrupt attribute entry");
+    }
+    if (pending.has_value()) {
+      if (*splid != pending->AttributeChild()) break;
+      out.back().second = std::move(rec->content);
+      pending.reset();
+    } else if (splid->Level() == attr_root.Level() + 1) {
+      out.emplace_back(vocab_.Name(rec->name), std::string());
+      pending = *splid;
+    }
+  }
+  XTC_RETURN_IF_ERROR(it.status());
+  if (pending.has_value()) {
+    return Status::NotFound("attribute " + pending->ToString() +
+                            " has no string child");
   }
   return out;
 }

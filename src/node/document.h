@@ -163,6 +163,12 @@ class Document {
   /// swap atomic against readers).
   Status ReattachTrees(const WalTreeMeta& meta) XTC_EXCLUDES(mu_);
 
+  /// Retires every thread's leaf hint for the three trees (follower
+  /// tailing: redo rewrites tree pages behind them, and an update that
+  /// splits a page can leave the attach points unchanged, so
+  /// ReattachTrees alone does not run).
+  void InvalidateLeafHints() XTC_EXCLUDES(mu_);
+
   /// Current tree attach points (harness / checkpointing).
   WalTreeMeta CurrentTreeMeta() const XTC_EXCLUDES(mu_);
 
@@ -196,6 +202,13 @@ class Document {
   StatusOr<std::vector<Node>> Children(
       const Splid& parent, bool include_attribute_root = false) const
       XTC_EXCLUDES(mu_);
+
+  /// (name, value) of every attribute under `attr_root`, in document
+  /// order: one seek and one forward walk of its subtree under one
+  /// latch. Empty if the attribute root does not exist; kNotFound if an
+  /// attribute lacks its string child.
+  StatusOr<std::vector<std::pair<std::string, std::string>>> AttributeValues(
+      const Splid& attr_root) const XTC_EXCLUDES(mu_);
 
   /// The whole subtree including the root, in document order.
   StatusOr<std::vector<Node>> Subtree(const Splid& root) const

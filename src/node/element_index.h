@@ -38,6 +38,7 @@ class ElementIndex {
 
   /// The backing tree (checkpoint metadata / recovery page walks).
   const BplusTree& tree() const { return tree_; }
+  BplusTree& tree() { return tree_; }
 
  private:
   static std::string MakeKey(NameSurrogate name, const Splid& splid);

@@ -29,6 +29,7 @@ class IdIndex {
 
   /// The backing tree (checkpoint metadata / recovery page walks).
   const BplusTree& tree() const { return tree_; }
+  BplusTree& tree() { return tree_; }
 
  private:
   BplusTree tree_;

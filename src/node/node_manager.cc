@@ -128,16 +128,7 @@ NodeManager::GetAttributes(Transaction& tx, const Splid& element) {
   // One LR on the attribute root locks all attributes implicitly
   // (paper §2.3); their string children count as attribute content.
   XTC_RETURN_IF_ERROR(locks_->LevelRead(view, attr_root));
-  auto attrs = doc_->Children(attr_root);
-  if (!attrs.ok()) return attrs.status();
-  std::vector<std::pair<std::string, std::string>> out;
-  for (const Node& attr : *attrs) {
-    auto value = doc_->Get(attr.splid.AttributeChild());
-    if (!value.ok()) return value.status();
-    out.emplace_back(doc_->vocabulary().Name(attr.record.name),
-                     value->content);
-  }
-  return out;
+  return doc_->AttributeValues(attr_root);
 }
 
 StatusOr<std::string> NodeManager::GetAttributeValue(Transaction& tx,

@@ -166,6 +166,12 @@ Status Follower::ApplyOneLocked(const WalRecord& record) {
         meta_ = record.meta;
         have_meta_ = true;
         ++stats_.reattaches;
+      } else {
+        // Same attach points, yet redo rewrote tree pages behind the
+        // trees (a split keeps root and count): a reader's leaf hint may
+        // name a page that split, merged or changed trees. Reattached
+        // trees start with fresh epochs anyway.
+        doc_->InvalidateLeafHints();
       }
       return Status::OK();
     }

@@ -1,9 +1,11 @@
 #include "storage/bplus_tree.h"
 
-#include <cassert>
+#include <array>
+#include <atomic>
 #include <cstring>
-#include "util/check.h"
 #include <vector>
+
+#include "util/check.h"
 
 namespace xtc {
 
@@ -15,10 +17,50 @@ std::string ChildValue(PageId id) {
   return v;
 }
 
+// One thread's leaf hints: the leaf its last descent of a tree ended in.
+// The tree pointer is only compared, never dereferenced; a destroyed
+// tree's hint cannot match a successor at the same address because the
+// successor draws a fresh epoch.
+struct LeafHint {
+  const BplusTree* tree = nullptr;
+  uint64_t epoch = 0;
+  PageId leaf = kInvalidPageId;
+};
+
+// A few slots: one document touches three trees (document, element
+// index, ID index).
+constexpr size_t kHintSlots = 4;
+
+struct HintTable {
+  std::array<LeafHint, kHintSlots> slots;
+  size_t next_victim = 0;
+
+  LeafHint* Find(const BplusTree* tree) {
+    for (LeafHint& h : slots) {
+      if (h.tree == tree) return &h;
+    }
+    return nullptr;
+  }
+
+  void Record(const BplusTree* tree, uint64_t epoch, PageId leaf) {
+    LeafHint* h = Find(tree);
+    if (h == nullptr) h = &slots[next_victim++ % kHintSlots];
+    *h = LeafHint{tree, epoch, leaf};
+  }
+};
+
+thread_local HintTable tls_hints;
+
+std::atomic<uint64_t> next_epoch{1};
+
 }  // namespace
 
+uint64_t BplusTree::NextEpoch() {
+  return next_epoch.fetch_add(1, std::memory_order_relaxed);
+}
+
 BplusTree::BplusTree(BufferManager* bm, bool prefix_compression)
-    : bm_(bm), prefix_compression_(prefix_compression) {
+    : bm_(bm), prefix_compression_(prefix_compression), epoch_(NextEpoch()) {
   auto guard = bm_->New();
   XTC_CHECK(guard.ok(), "buffer pool cannot host the B+-tree root page");
   SlottedPage sp(guard->page());
@@ -35,31 +77,49 @@ PageId BplusTree::RouteChild(const SlottedPage& sp, std::string_view key) {
   return sp.ChildAt(i - 1);
 }
 
-StatusOr<PageId> BplusTree::FindLeaf(std::string_view key) const {
+StatusOr<BplusTree::LeafPos> BplusTree::SeekLeaf(std::string_view key) const {
+  LeafPos pos;
+  const LeafHint* hint = tls_hints.Find(this);
+  if (hint != nullptr && hint->epoch == epoch_) {
+    // A fetch error here is the caller's error, exactly as on a descent.
+    auto guard = bm_->Fetch(hint->leaf);
+    if (!guard.ok()) return guard.status();
+    SlottedPage sp(guard->page());
+    if (sp.type() == PageType::kLeaf) {
+      pos.slot = sp.LowerBound(key, &pos.found);
+      // Within one epoch every leaf keeps its key range, so a key that
+      // matches or falls strictly between two of the leaf's keys belongs
+      // here. At either edge the neighbour leaf may own it: descend.
+      if (pos.found || (pos.slot > 0 && pos.slot < sp.num_slots())) {
+        pos.guard = std::move(*guard);
+        return pos;
+      }
+    }
+  }
   PageId current = root_;
   for (;;) {
     auto guard = bm_->Fetch(current);
     if (!guard.ok()) return guard.status();
     SlottedPage sp(guard->page());
-    if (sp.type() == PageType::kLeaf) return current;
+    if (sp.type() == PageType::kLeaf) {
+      pos.slot = sp.LowerBound(key, &pos.found);
+      pos.guard = std::move(*guard);
+      tls_hints.Record(this, epoch_, current);
+      return pos;
+    }
     current = RouteChild(sp, key);
   }
 }
 
 StatusOr<std::string> BplusTree::Get(std::string_view key) const {
-  XTC_ASSIGN_OR_RETURN(PageId leaf, FindLeaf(key));
-  auto guard = bm_->Fetch(leaf);
-  if (!guard.ok()) return guard.status();
-  SlottedPage sp(guard->page());
-  bool found = false;
-  int i = sp.LowerBound(key, &found);
-  if (!found) return Status::NotFound("key not in tree");
-  return std::string(sp.Value(i));
+  XTC_ASSIGN_OR_RETURN(LeafPos pos, SeekLeaf(key));
+  if (!pos.found) return Status::NotFound("key not in tree");
+  return std::string(SlottedPage(pos.guard.page()).Value(pos.slot));
 }
 
 bool BplusTree::Contains(std::string_view key) const {
-  auto r = Get(key);
-  return r.ok();
+  auto pos = SeekLeaf(key);
+  return pos.ok() && pos->found;
 }
 
 Status BplusTree::Insert(std::string_view key, std::string_view value) {
@@ -76,6 +136,7 @@ Status BplusTree::Insert(std::string_view key, std::string_view value) {
     if (!ok) return Status::Internal("root split: separator does not fit");
     guard->MarkDirty();
     root_ = guard->id();
+    InvalidateHints();
   }
   ++count_;
   return Status::OK();
@@ -136,6 +197,7 @@ Status BplusTree::SplitLeaf(SlottedPage* left, PageId left_id,
   size_t mid = appending ? entries.size() - 1 : entries.size() / 2;
   auto right_guard = bm_->New();
   if (!right_guard.ok()) return right_guard.status();
+  InvalidateHints();
   SlottedPage right(right_guard->page());
   right.Init(PageType::kLeaf, prefix_compression_);
 
@@ -182,6 +244,7 @@ Status BplusTree::SplitInner(SlottedPage* left, std::string_view key,
 
   auto right_guard = bm_->New();
   if (!right_guard.ok()) return right_guard.status();
+  InvalidateHints();
   SlottedPage right(right_guard->page());
   right.Init(PageType::kInner, prefix_compression_);
   right.set_leftmost_child(mid_child);
@@ -203,26 +266,23 @@ Status BplusTree::SplitInner(SlottedPage* left, std::string_view key,
 }
 
 Status BplusTree::Update(std::string_view key, std::string_view value) {
-  XTC_ASSIGN_OR_RETURN(PageId leaf, FindLeaf(key));
-  auto guard = bm_->Fetch(leaf);
-  if (!guard.ok()) return guard.status();
-  SlottedPage sp(guard->page());
-  bool found = false;
-  int i = sp.LowerBound(key, &found);
-  if (!found) return Status::NotFound("key not in tree");
-  if (!sp.UpdateValue(i, value)) {
+  XTC_ASSIGN_OR_RETURN(LeafPos pos, SeekLeaf(key));
+  if (!pos.found) return Status::NotFound("key not in tree");
+  SlottedPage sp(pos.guard.page());
+  if (!sp.UpdateValue(pos.slot, value)) {
     // Value grew past the page: delete + insert (may split). A failed
     // UpdateValue leaves the old entry in place but may have moved it to
-    // a different slot, so re-locate the key instead of reusing `i`.
-    i = sp.LowerBound(key, &found);
+    // a different slot, so re-locate the key instead of reusing the slot.
+    bool found = false;
+    int i = sp.LowerBound(key, &found);
     if (!found) return Status::Internal("update lost key: " + std::string(key));
     sp.Remove(i);
-    guard->MarkDirty();
-    guard->Release();
+    pos.guard.MarkDirty();
+    pos.guard.Release();
     --count_;
     return Insert(key, value);
   }
-  guard->MarkDirty();
+  pos.guard.MarkDirty();
   return Status::OK();
 }
 
@@ -241,6 +301,7 @@ Status BplusTree::Delete(std::string_view key) {
       guard->Release();
       bm_->Free(old_root);
       root_ = only_child;
+      InvalidateHints();
       continue;
     }
     break;
@@ -284,6 +345,7 @@ Status BplusTree::DeleteRec(PageId node, std::string_view key,
   if (!child_empty) return Status::OK();
 
   // Drop the empty child from this inner node.
+  InvalidateHints();
   {
     auto child_guard = bm_->Fetch(child);
     if (!child_guard.ok()) return child_guard.status();
@@ -415,76 +477,70 @@ void BplusTree::Iterator::Invalidate(const Status& st) {
   if (status_.ok()) status_ = st;
 }
 
-void BplusTree::Iterator::LoadCurrent(PageId page, int slot) {
-  auto guard = tree_->bm_->Fetch(page);
-  if (!guard.ok()) {
-    Invalidate(guard.status());
-    return;
-  }
-  SlottedPage sp(guard->page());
-  if (slot < 0 || slot >= sp.num_slots()) {
-    valid_ = false;
-    return;
-  }
-  page_ = page;
+void BplusTree::Iterator::Load(PageGuard& guard, int slot) {
+  SlottedPage sp(guard.page());
+  page_ = guard.id();
   slot_ = slot;
   key_ = sp.FullKey(slot);
   value_ = std::string(sp.Value(slot));
   valid_ = true;
 }
 
-void BplusTree::Iterator::AdvanceForward(PageId page, int slot) {
-  // Moves to (page, slot), skipping forward over page ends/empty pages.
+void BplusTree::Iterator::AdvanceForward(PageGuard guard, int slot) {
   for (;;) {
-    auto guard = tree_->bm_->Fetch(page);
-    if (!guard.ok()) {
-      Invalidate(guard.status());
-      return;
-    }
-    SlottedPage sp(guard->page());
+    SlottedPage sp(guard.page());
     if (slot < sp.num_slots()) {
-      page_ = page;
-      slot_ = slot;
-      key_ = sp.FullKey(slot);
-      value_ = std::string(sp.Value(slot));
-      valid_ = true;
+      Load(guard, slot);
       return;
     }
     PageId next = sp.next();
+    guard.Release();
     if (next == kInvalidPageId) {
       valid_ = false;
       return;
     }
-    page = next;
+    auto next_guard = tree_->bm_->Fetch(next);
+    if (!next_guard.ok()) {
+      Invalidate(next_guard.status());
+      return;
+    }
+    guard = std::move(*next_guard);
     slot = 0;
   }
 }
 
-void BplusTree::Iterator::AdvanceBackward(PageId page, int slot) {
+void BplusTree::Iterator::AdvanceBackward(PageGuard guard, int slot) {
   for (;;) {
-    auto guard = tree_->bm_->Fetch(page);
-    if (!guard.ok()) {
-      Invalidate(guard.status());
-      return;
-    }
-    SlottedPage sp(guard->page());
+    SlottedPage sp(guard.page());
     if (slot == INT32_MAX) slot = sp.num_slots() - 1;
     if (slot >= 0 && slot < sp.num_slots()) {
-      page_ = page;
-      slot_ = slot;
-      key_ = sp.FullKey(slot);
-      value_ = std::string(sp.Value(slot));
-      valid_ = true;
+      Load(guard, slot);
       return;
     }
     PageId prev = sp.prev();
+    guard.Release();
     if (prev == kInvalidPageId) {
       valid_ = false;
       return;
     }
-    page = prev;
+    auto prev_guard = tree_->bm_->Fetch(prev);
+    if (!prev_guard.ok()) {
+      Invalidate(prev_guard.status());
+      return;
+    }
+    guard = std::move(*prev_guard);
     slot = INT32_MAX;  // last slot of the previous page
   }
+}
+
+bool BplusTree::Iterator::FetchCurrent(PageGuard* out) {
+  auto guard = tree_->bm_->Fetch(page_);
+  if (!guard.ok()) {
+    Invalidate(guard.status());
+    return false;
+  }
+  *out = std::move(*guard);
+  return true;
 }
 
 void BplusTree::Iterator::SeekToFirst() {
@@ -497,10 +553,12 @@ void BplusTree::Iterator::SeekToFirst() {
       return;
     }
     SlottedPage sp(guard->page());
-    if (sp.type() == PageType::kLeaf) break;
+    if (sp.type() == PageType::kLeaf) {
+      AdvanceForward(std::move(*guard), 0);
+      return;
+    }
     current = sp.leftmost_child();
   }
-  AdvanceForward(current, 0);
 }
 
 void BplusTree::Iterator::SeekToLast() {
@@ -513,65 +571,47 @@ void BplusTree::Iterator::SeekToLast() {
       return;
     }
     SlottedPage sp(guard->page());
-    if (sp.type() == PageType::kLeaf) break;
+    if (sp.type() == PageType::kLeaf) {
+      AdvanceBackward(std::move(*guard), INT32_MAX);
+      return;
+    }
     current = sp.num_slots() > 0 ? sp.ChildAt(sp.num_slots() - 1)
                                  : sp.leftmost_child();
   }
-  AdvanceBackward(current, INT32_MAX);
 }
 
 void BplusTree::Iterator::Seek(std::string_view target) {
   status_ = Status::OK();
-  auto leaf = tree_->FindLeaf(target);
-  if (!leaf.ok()) {
-    Invalidate(leaf.status());
+  auto pos = tree_->SeekLeaf(target);
+  if (!pos.ok()) {
+    Invalidate(pos.status());
     return;
   }
-  auto guard = tree_->bm_->Fetch(*leaf);
-  if (!guard.ok()) {
-    Invalidate(guard.status());
-    return;
-  }
-  SlottedPage sp(guard->page());
-  bool found = false;
-  int i = sp.LowerBound(target, &found);
-  guard->Release();
-  AdvanceForward(*leaf, i);
+  AdvanceForward(std::move(pos->guard), pos->slot);
 }
 
 void BplusTree::Iterator::SeekForPrev(std::string_view target) {
   status_ = Status::OK();
-  auto leaf = tree_->FindLeaf(target);
-  if (!leaf.ok()) {
-    Invalidate(leaf.status());
+  auto pos = tree_->SeekLeaf(target);
+  if (!pos.ok()) {
+    Invalidate(pos.status());
     return;
   }
-  auto guard = tree_->bm_->Fetch(*leaf);
-  if (!guard.ok()) {
-    Invalidate(guard.status());
-    return;
-  }
-  SlottedPage sp(guard->page());
-  bool found = false;
-  int i = sp.LowerBound(target, &found);
-  guard->Release();
-  if (found) {
-    LoadCurrent(*leaf, i);
-    if (valid_) return;
-  }
-  AdvanceBackward(*leaf, i - 1);
+  AdvanceBackward(std::move(pos->guard), pos->found ? pos->slot : pos->slot - 1);
 }
 
 void BplusTree::Iterator::Next() {
   if (!valid_) return;
   status_ = Status::OK();
-  AdvanceForward(page_, slot_ + 1);
+  PageGuard guard;
+  if (FetchCurrent(&guard)) AdvanceForward(std::move(guard), slot_ + 1);
 }
 
 void BplusTree::Iterator::Prev() {
   if (!valid_) return;
   status_ = Status::OK();
-  AdvanceBackward(page_, slot_ - 1);
+  PageGuard guard;
+  if (FetchCurrent(&guard)) AdvanceBackward(std::move(guard), slot_ - 1);
 }
 
 }  // namespace xtc

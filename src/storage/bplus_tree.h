@@ -9,10 +9,21 @@
 // Concurrency: the tree itself is not internally synchronized. Callers
 // (NodeStore) wrap operations in a short reader/writer latch; latches are
 // never held across lock waits (DESIGN.md §4).
+//
+// Leaf hints: SPLID order is document order, so consecutive navigation
+// hops usually land in the same leaf. Every point descent (Get, Contains,
+// Update, Iterator::Seek/SeekForPrev) first tries the leaf the calling
+// thread's previous descent of this tree ended in, and only descends from
+// the root when that leaf provably does not hold the key's position (see
+// SeekLeaf in bplus_tree.cc). A hint names {tree, structure epoch, leaf};
+// the tree draws a fresh epoch from a process-wide counter at
+// construction and after every page it allocates or frees, so a hint
+// never outlives the page layout it was recorded against.
 
 #ifndef XTC_STORAGE_BPLUS_TREE_H_
 #define XTC_STORAGE_BPLUS_TREE_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -37,7 +48,8 @@ class BplusTree {
       : bm_(bm),
         prefix_compression_(prefix_compression),
         root_(root),
-        count_(count) {}
+        count_(count),
+        epoch_(NextEpoch()) {}
 
   BplusTree(const BplusTree&) = delete;
   BplusTree& operator=(const BplusTree&) = delete;
@@ -61,6 +73,11 @@ class BplusTree {
   bool Contains(std::string_view key) const;
 
   uint64_t size() const { return count_; }
+
+  /// Retires every thread's leaf hint for this tree. The tree does this
+  /// itself whenever it allocates or frees a page; an owner that rewrites
+  /// the tree's pages behind its back (follower redo) must call it too.
+  void InvalidateHints() { epoch_ = NextEpoch(); }
 
   /// Forward/backward cursor. Positioning methods copy the entry out, so
   /// the iterator holds no page pins between calls; it must not be used
@@ -90,9 +107,15 @@ class BplusTree {
 
    private:
     void Invalidate(const Status& st);
-    void LoadCurrent(PageId page, int slot);
-    void AdvanceForward(PageId page, int slot);   // slot may be past end
-    void AdvanceBackward(PageId page, int slot);  // slot may be -1
+    // Copy out (guard's page, slot) as the current entry.
+    void Load(PageGuard& guard, int slot);
+    // Move to (guard's page, slot), skipping over page ends and empty
+    // pages; the slot may be past the end (forward), or -1 or INT32_MAX
+    // for the page's last slot (backward).
+    void AdvanceForward(PageGuard guard, int slot);
+    void AdvanceBackward(PageGuard guard, int slot);
+    // Pins page_ for Next()/Prev(); false (and invalid) on a fetch error.
+    bool FetchCurrent(PageGuard* out);
 
     const BplusTree* tree_;
     bool valid_ = false;
@@ -133,8 +156,20 @@ class BplusTree {
   // Routes a key to the child of an inner page.
   static PageId RouteChild(const SlottedPage& sp, std::string_view key);
 
-  // Finds the leaf that may contain `key`; returns its page id.
-  StatusOr<PageId> FindLeaf(std::string_view key) const;
+  // The leaf that may contain `key`, still pinned, and key's LowerBound
+  // position in it.
+  struct LeafPos {
+    PageGuard guard;
+    int slot = 0;
+    bool found = false;
+  };
+
+  // Finds the leaf that may contain `key`: the calling thread's hinted
+  // leaf when it provably does, else a root descent (which becomes the
+  // new hint). One page fix on a hint hit.
+  StatusOr<LeafPos> SeekLeaf(std::string_view key) const;
+
+  static uint64_t NextEpoch();
 
   Status InsertRec(PageId node, std::string_view key, std::string_view value,
                    std::optional<Split>* split);
@@ -153,6 +188,9 @@ class BplusTree {
   bool prefix_compression_ = true;
   PageId root_;
   uint64_t count_ = 0;
+  // Structure epoch for leaf hints (file comment); guarded like the rest
+  // of the tree by the caller's latch.
+  uint64_t epoch_;
 };
 
 }  // namespace xtc

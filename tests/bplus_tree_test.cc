@@ -6,9 +6,13 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <vector>
 
 #include "splid/splid.h"
+#include "storage/slotted_page.h"
+#include "util/fault_injector.h"
 #include "util/rng.h"
 
 namespace xtc {
@@ -315,6 +319,274 @@ TEST_F(BplusTreeTest, RandomizedModelCheck) {
       ASSERT_EQ(mit, model.end());
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Leaf hints. A descent that uses its hint fixes one page; one whose hint
+// is refused fixes the hinted leaf and then a whole root descent
+// (1 + Height()); one with no matching hint fixes Height() pages. The
+// page-fix count therefore tells the three apart.
+// ---------------------------------------------------------------------------
+
+class LeafHintTest : public ::testing::Test {
+ protected:
+  LeafHintTest() : faults_(11) {
+    StorageOptions options;
+    options.buffer_pool_pages = 256;
+    options.fault_injector = &faults_;
+    file_ = std::make_unique<PageFile>(options);
+    bm_ = std::make_unique<BufferManager>(file_.get(), options);
+    tree_ = std::make_unique<BplusTree>(bm_.get());
+  }
+
+  static std::string Key(int i) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "k%06d", i);
+    return buf;
+  }
+  static int Num(const std::string& key) { return std::stoi(key.substr(1)); }
+
+  // Even keys 0, 2, ..., 2(n-1), ascending: every leaf but the last is
+  // left full by the rightmost split.
+  void Load(int n) {
+    for (int i = 0; i < n; ++i) {
+      ASSERT_TRUE(tree_->Insert(Key(2 * i), std::string(40, 'v')).ok());
+    }
+  }
+
+  // Page fixes (hits + misses) made by f().
+  template <typename F>
+  uint64_t Fixes(F&& f) {
+    const uint64_t before = bm_->hits() + bm_->misses();
+    f();
+    return bm_->hits() + bm_->misses() - before;
+  }
+
+  uint64_t GetFixes(const std::string& key) {
+    return Fixes([&] { (void)tree_->Get(key); });
+  }
+
+  // The keys of every leaf, left to right, read off the pages directly
+  // rather than through the tree's descent code.
+  std::vector<std::vector<std::string>> Leaves() {
+    std::vector<std::vector<std::string>> out;
+    PageId id = tree_->root();
+    for (;;) {
+      auto guard = bm_->Fetch(id);
+      EXPECT_TRUE(guard.ok());
+      SlottedPage sp(guard->page());
+      if (sp.type() == PageType::kLeaf) break;
+      id = sp.leftmost_child();
+    }
+    while (id != kInvalidPageId) {
+      auto guard = bm_->Fetch(id);
+      EXPECT_TRUE(guard.ok());
+      SlottedPage sp(guard->page());
+      std::vector<std::string> keys;
+      for (int i = 0; i < sp.num_slots(); ++i) keys.push_back(sp.FullKey(i));
+      out.push_back(std::move(keys));
+      id = sp.next();
+    }
+    return out;
+  }
+
+  FaultInjector faults_;
+  std::unique_ptr<PageFile> file_;
+  std::unique_ptr<BufferManager> bm_;
+  std::unique_ptr<BplusTree> tree_;
+};
+
+TEST_F(LeafHintTest, PointReadsInTheHintedLeafFixOnePage) {
+  Load(2000);
+  ASSERT_GE(tree_->Height(), 2);
+  const auto leaves = Leaves();
+  const std::vector<std::string>& leaf = leaves[leaves.size() / 2];
+  ASSERT_GE(leaf.size(), 3u);
+  const std::string key = leaf[1];
+  ASSERT_TRUE(tree_->Get(key).ok());
+
+  EXPECT_EQ(GetFixes(key), 1u);
+  EXPECT_EQ(Fixes([&] { EXPECT_TRUE(tree_->Contains(key)); }), 1u);
+  EXPECT_EQ(Fixes([&] {
+              EXPECT_TRUE(tree_->Update(key, std::string(40, 'u')).ok());
+            }),
+            1u);
+  EXPECT_EQ(*tree_->Get(key), std::string(40, 'u'));
+  auto it = tree_->NewIterator();
+  EXPECT_EQ(Fixes([&] { it.Seek(key); }), 1u);
+  ASSERT_TRUE(it.Valid());
+  EXPECT_EQ(it.key(), key);
+  EXPECT_EQ(Fixes([&] { it.SeekForPrev(key); }), 1u);
+  ASSERT_TRUE(it.Valid());
+  EXPECT_EQ(it.key(), key);
+  // An absent key strictly between two of the leaf's keys is decided by
+  // the leaf alone.
+  const std::string gap = Key(Num(leaf[0]) + 1);
+  EXPECT_EQ(Fixes([&] {
+              EXPECT_TRUE(tree_->Get(gap).status().IsNotFound());
+            }),
+            1u);
+}
+
+TEST_F(LeafHintTest, KeysJustOutsideTheHintedLeafDescendFromTheRoot) {
+  Load(2000);
+  const uint64_t h = static_cast<uint64_t>(tree_->Height());
+  ASSERT_GE(h, 2u);
+  const auto leaves = Leaves();
+  const std::vector<std::string>& a = leaves[3];
+  const std::vector<std::string>& b = leaves[4];
+  ASSERT_GE(a.size(), 2u);
+  ASSERT_GE(b.size(), 2u);
+  // Between a's last key and b's first: above the one, below the other.
+  const std::string gap = Key(Num(a.back()) + 1);
+  ASSERT_LT(gap, b.front());
+
+  ASSERT_TRUE(tree_->Get(a[1]).ok());
+  EXPECT_EQ(GetFixes(gap), 1 + h);
+  ASSERT_TRUE(tree_->Get(b[1]).ok());
+  EXPECT_EQ(GetFixes(gap), 1 + h);
+
+  // Make room in a (no page is allocated or freed, so the epoch holds)
+  // and store the gap key there. From b's hint, a reader must still find
+  // it: b's slot 0 is not proof that b owns the key.
+  ASSERT_TRUE(tree_->Delete(a.front()).ok());
+  ASSERT_TRUE(tree_->Insert(gap, "g").ok());
+  ASSERT_TRUE(tree_->Get(b[1]).ok());
+  uint64_t fixes = Fixes([&] {
+    auto v = tree_->Get(gap);
+    ASSERT_TRUE(v.ok()) << v.status().message();
+    EXPECT_EQ(*v, "g");
+  });
+  EXPECT_EQ(fixes, 1 + h);
+  auto it = tree_->NewIterator();
+  it.Seek(gap);
+  ASSERT_TRUE(it.Valid());
+  EXPECT_EQ(it.key(), gap);
+  ASSERT_TRUE(tree_->Get(b[1]).ok());
+  it.SeekForPrev(gap);
+  ASSERT_TRUE(it.Valid());
+  EXPECT_EQ(it.key(), gap);
+  // From a's hint the key is found in the leaf itself.
+  ASSERT_TRUE(tree_->Get(a[1]).ok());
+  EXPECT_EQ(GetFixes(gap), 1u);
+}
+
+TEST_F(LeafHintTest, EmptyLeafRefusesTheHint) {
+  EXPECT_TRUE(tree_->Get("a").status().IsNotFound());
+  EXPECT_EQ(Fixes([&] { EXPECT_TRUE(tree_->Get("a").status().IsNotFound()); }),
+            2u);
+  ASSERT_TRUE(tree_->Insert("a", "1").ok());
+  EXPECT_EQ(Fixes([&] { EXPECT_EQ(*tree_->Get("a"), "1"); }), 1u);
+}
+
+TEST_F(LeafHintTest, LeafSplitRetiresHints) {
+  Load(2000);
+  const auto leaves = Leaves();
+  const std::vector<std::string>& leaf = leaves[leaves.size() / 2];
+  const std::string key = leaf[1];
+  ASSERT_TRUE(tree_->Get(key).ok());
+  // The leaf is full: a large value inside its range splits it.
+  ASSERT_TRUE(
+      tree_->Insert(Key(Num(leaf[0]) + 1), std::string(1000, 'x')).ok());
+  ASSERT_GT(Leaves().size(), leaves.size());
+  EXPECT_EQ(Fixes([&] { EXPECT_EQ(*tree_->Get(key), std::string(40, 'v')); }),
+            static_cast<uint64_t>(tree_->Height()));
+}
+
+TEST_F(LeafHintTest, RootSplitRetiresHints) {
+  ASSERT_TRUE(tree_->Insert(Key(0), "zero").ok());
+  ASSERT_TRUE(tree_->Insert(Key(2), "two").ok());
+  ASSERT_TRUE(tree_->Get(Key(0)).ok());
+  ASSERT_EQ(GetFixes(Key(0)), 1u);  // root leaf, hinted
+  int i = 2;
+  while (tree_->Height() == 1) {
+    ASSERT_TRUE(tree_->Insert(Key(2 * i++), std::string(40, 'v')).ok());
+  }
+  EXPECT_EQ(Fixes([&] { EXPECT_EQ(*tree_->Get(Key(0)), "zero"); }), 2u);
+}
+
+TEST_F(LeafHintTest, FreedLeafRetiresHints) {
+  Load(2000);
+  const auto leaves = Leaves();
+  const std::vector<std::string>& victim = leaves[1];
+  ASSERT_TRUE(tree_->Get(victim[1]).ok());
+  for (const std::string& k : victim) ASSERT_TRUE(tree_->Delete(k).ok());
+  ASSERT_EQ(Leaves().size(), leaves.size() - 1);
+  EXPECT_EQ(Fixes([&] {
+              EXPECT_TRUE(tree_->Get(victim[1]).status().IsNotFound());
+            }),
+            static_cast<uint64_t>(tree_->Height()));
+  EXPECT_TRUE(tree_->Get(leaves[0][0]).ok());
+  EXPECT_TRUE(tree_->Get(leaves[2][0]).ok());
+}
+
+TEST_F(LeafHintTest, RootCollapseRetiresHints) {
+  int i = 0;
+  while (Leaves().size() < 2) {
+    ASSERT_TRUE(tree_->Insert(Key(2 * i++), std::string(40, 'v')).ok());
+  }
+  ASSERT_EQ(tree_->Height(), 2);
+  const auto leaves = Leaves();
+  ASSERT_TRUE(tree_->Get(leaves[0][1]).ok());
+  for (const std::string& k : leaves[0]) ASSERT_TRUE(tree_->Delete(k).ok());
+  ASSERT_EQ(tree_->Height(), 1);
+  // The hinted leaf is freed and the surviving leaf is the root: one fix.
+  EXPECT_EQ(Fixes([&] {
+              EXPECT_TRUE(tree_->Get(leaves[0][1]).status().IsNotFound());
+            }),
+            1u);
+  EXPECT_TRUE(tree_->Get(leaves[1][0]).ok());
+}
+
+TEST_F(LeafHintTest, TreeRebuiltAtTheSameAddressIgnoresOldHints) {
+  std::optional<BplusTree> tree;
+  tree.emplace(bm_.get());
+  ASSERT_TRUE(tree->Insert("k", "old").ok());
+  ASSERT_EQ(*tree->Get("k"), "old");
+  const BplusTree* address = &*tree;
+  tree.reset();
+  tree.emplace(bm_.get());
+  ASSERT_EQ(&*tree, address);
+  ASSERT_TRUE(tree->Insert("k", "new").ok());
+  // The old leaf is still resident and still holds "k": only the epoch
+  // keeps the new tree from reading it.
+  EXPECT_EQ(*tree->Get("k"), "new");
+}
+
+TEST_F(LeafHintTest, InvalidateHintsRetiresEveryHint) {
+  Load(2000);
+  const std::string key = Leaves()[5][1];
+  ASSERT_TRUE(tree_->Get(key).ok());
+  ASSERT_EQ(GetFixes(key), 1u);
+  tree_->InvalidateHints();
+  EXPECT_EQ(GetFixes(key), static_cast<uint64_t>(tree_->Height()));
+}
+
+TEST_F(LeafHintTest, FetchErrorOnTheHintedLeafIsReturned) {
+  Load(2000);
+  const std::string key = Leaves()[5][1];
+  ASSERT_TRUE(tree_->Get(key).ok());
+  FaultPointConfig once;
+  once.probability = 1.0;
+  once.one_shot = true;
+
+  // One injected fault: a silent fall-back to the root would succeed.
+  faults_.Arm(fault_points::kBufferPin, once);
+  EXPECT_EQ(tree_->Get(key).status().code(), StatusCode::kIoError);
+  EXPECT_EQ(faults_.injections(fault_points::kBufferPin), 1u);
+  EXPECT_TRUE(tree_->Get(key).ok());
+
+  faults_.Arm(fault_points::kBufferPin, once);
+  EXPECT_EQ(tree_->Update(key, "u").code(), StatusCode::kIoError);
+
+  faults_.Arm(fault_points::kBufferPin, once);
+  auto it = tree_->NewIterator();
+  it.Seek(key);
+  EXPECT_FALSE(it.Valid());
+  EXPECT_EQ(it.status().code(), StatusCode::kIoError);
+  it.Seek(key);
+  ASSERT_TRUE(it.Valid());
+  EXPECT_EQ(it.key(), key);
 }
 
 }  // namespace

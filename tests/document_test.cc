@@ -241,6 +241,68 @@ TEST_F(DocumentTest, GetOnMissingNodeIsNotFound) {
   EXPECT_TRUE(doc_.RemoveSubtree(missing).IsNotFound());
 }
 
+using AttributeList = std::vector<std::pair<std::string, std::string>>;
+
+// The per-attribute read AttributeValues replaced: the attribute root's
+// children, then one point read of each attribute's string child.
+StatusOr<AttributeList> AttributesOneByOne(const Document& doc,
+                                           const Splid& attr_root) {
+  auto attrs = doc.Children(attr_root);
+  if (!attrs.ok()) return attrs.status();
+  AttributeList out;
+  for (const Node& attr : *attrs) {
+    auto value = doc.Get(attr.splid.AttributeChild());
+    if (!value.ok()) return value.status();
+    out.emplace_back(doc.vocabulary().Name(attr.record.name), value->content);
+  }
+  return out;
+}
+
+TEST_F(DocumentTest, AttributeValuesMatchesThePerAttributeReads) {
+  const Splid book = Id("b0");
+  const Splid title = (*doc_.FirstChild(book))->splid;
+  // 0 attributes (no attribute root at all), 1, 2, and many.
+  SubtreeSpec many{"shelf", {}, "", {}};
+  for (int i = 0; i < 40; ++i) {
+    many.attributes.emplace_back("a" + std::to_string(i),
+                                 std::string(static_cast<size_t>(i * 7), 'v'));
+  }
+  auto shelf = doc_.AppendSubtree(root_, many);
+  ASSERT_TRUE(shelf.ok());
+  const Splid cases[] = {title, Id("t0"), book, *shelf};
+  const size_t sizes[] = {0, 1, 2, 40};
+  for (size_t c = 0; c < 4; ++c) {
+    const Splid attr_root = cases[c].AttributeChild();
+    auto one_scan = doc_.AttributeValues(attr_root);
+    auto one_by_one = AttributesOneByOne(doc_, attr_root);
+    ASSERT_TRUE(one_scan.ok()) << one_scan.status().message();
+    ASSERT_TRUE(one_by_one.ok()) << one_by_one.status().message();
+    EXPECT_EQ(*one_scan, *one_by_one) << cases[c].ToString();
+    EXPECT_EQ(one_scan->size(), sizes[c]) << cases[c].ToString();
+  }
+  EXPECT_EQ((*doc_.AttributeValues(book.AttributeChild()))[1],
+            (std::pair<std::string, std::string>("year", "2006")));
+}
+
+TEST_F(DocumentTest, AttributeValuesReportsAMissingStringChild) {
+  const Splid book = Id("b0");
+  auto attrs = doc_.Children(book.AttributeChild());
+  ASSERT_TRUE(attrs.ok());
+  ASSERT_EQ(attrs->size(), 2u);
+  // Drop the last attribute's string child: the scan ends with the
+  // attribute still waiting for its value.
+  ASSERT_TRUE(doc_.Remove((*attrs)[1].splid.AttributeChild()).ok());
+  EXPECT_TRUE(
+      doc_.AttributeValues(book.AttributeChild()).status().IsNotFound());
+  EXPECT_TRUE(AttributesOneByOne(doc_, book.AttributeChild())
+                  .status()
+                  .IsNotFound());
+  // And the first's: the next attribute arrives in its place.
+  ASSERT_TRUE(doc_.Remove((*attrs)[0].splid.AttributeChild()).ok());
+  EXPECT_TRUE(
+      doc_.AttributeValues(book.AttributeChild()).status().IsNotFound());
+}
+
 TEST(DocumentAccessorTest, SubtreeAndChildrenEnumeration) {
   Document doc;
   ASSERT_TRUE(doc.BuildFromSpec(SmallBib()).ok());

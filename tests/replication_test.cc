@@ -352,6 +352,86 @@ TEST_P(PairedKillTest, PairAgreesOnCommitsAndPromotes) {
 INSTANTIATE_TEST_SUITE_P(AllKillSites, PairedKillTest,
                          ::testing::Values(0, 1, 2, 3, 4));
 
+TEST(ReplicationTest, ReplicaReadsSurviveASplitThatKeepsTheAttachPoints) {
+  // A value grown past its leaf splits the page, yet the tree's root and
+  // entry count stay put, so the follower applies the page images without
+  // reattaching its trees. Its readers' leaf hints must not outlive the
+  // old page layout.
+  MiniPrimary p = MakeMiniPrimary();
+  auto follower =
+      Follower::Bootstrap(MiniFollowerOptions(p), p.base_disk, p.base_log);
+  ASSERT_TRUE(follower.ok()) << follower.status().message();
+  LogShipper shipper(p.wal.get(), follower->get());
+
+  auto title = p.doc->NthElementByName("title", 2);
+  ASSERT_TRUE(title.has_value());
+  auto text = p.doc->FirstChild(*title);
+  ASSERT_TRUE(text.ok() && text->has_value());
+  const Splid string_node = (**text).splid.AttributeChild();
+  const Splid book = title->Parent();
+  ASSERT_TRUE((*follower)->ReadSubtree(book).ok());  // warms the hints
+  ASSERT_TRUE((*follower)->LookupId(p.info.book_ids[0]).ok());
+
+  const WalTreeMeta meta_before = p.doc->CurrentTreeMeta();
+  const uint64_t leaves_before = p.doc->MeasureOccupancy().leaf_pages;
+  const uint64_t reattaches = (*follower)->stats().reattaches;
+  {
+    ScopedWalTx scope(1);
+    ASSERT_TRUE(
+        p.doc->UpdateContent(string_node, std::string(1200, 'g')).ok());
+  }
+  ASSERT_TRUE(p.wal->AppendCommit(1, 1, "grow").ok());
+  const WalTreeMeta meta_after = p.doc->CurrentTreeMeta();
+  ASSERT_GT(p.doc->MeasureOccupancy().leaf_pages, leaves_before);
+  ASSERT_EQ(meta_after.doc_root, meta_before.doc_root);
+  ASSERT_EQ(meta_after.doc_count, meta_before.doc_count);
+
+  auto shipped = shipper.ShipOnce();
+  ASSERT_TRUE(shipped.ok()) << shipped.status().message();
+  EXPECT_EQ((*follower)->stats().reattaches, reattaches);
+
+  auto expected = p.doc->Subtree(book);
+  auto replica = (*follower)->ReadSubtree(book);
+  ASSERT_TRUE(expected.ok());
+  ASSERT_TRUE(replica.ok()) << replica.status().message();
+  ASSERT_EQ(replica->size(), expected->size());
+  for (size_t i = 0; i < expected->size(); ++i) {
+    EXPECT_EQ((*replica)[i].splid, (*expected)[i].splid);
+    EXPECT_EQ((*replica)[i].record.Encode(), (*expected)[i].record.Encode());
+  }
+  for (size_t b = 0; b < p.info.book_ids.size(); ++b) {
+    auto replica_id = (*follower)->LookupId(p.info.book_ids[b]);
+    ASSERT_TRUE(replica_id.ok());
+    EXPECT_EQ(*replica_id, p.doc->LookupId(p.info.book_ids[b]));
+  }
+  auto primary_fp = DocumentFingerprint(*p.doc);
+  auto follower_fp = DocumentFingerprint((*follower)->document());
+  ASSERT_TRUE(primary_fp.ok());
+  ASSERT_TRUE(follower_fp.ok()) << follower_fp.status().message();
+  EXPECT_EQ(*follower_fp, *primary_fp);
+
+  // Every applied update retires the readers' hints, even one that
+  // leaves the page layout alone: the first read after it descends from
+  // the root, the next starts at the leaf the first one recorded.
+  const Splid far = *p.doc->LookupId(p.info.book_ids.back());
+  ASSERT_TRUE((*follower)->ReadSubtree(far).ok());
+  {
+    ScopedWalTx scope(2);
+    ASSERT_TRUE(p.doc->UpdateContent(string_node, "short again").ok());
+  }
+  ASSERT_TRUE(p.wal->AppendCommit(2, 2, "shrink").ok());
+  ASSERT_TRUE(shipper.ShipOnce().ok());
+  EXPECT_EQ((*follower)->stats().reattaches, reattaches);
+  auto read_fixes = [&] {
+    const BufferManager& bm = (*follower)->document().buffer();
+    const uint64_t before = bm.hits() + bm.misses();
+    EXPECT_TRUE((*follower)->ReadSubtree(far).ok());
+    return bm.hits() + bm.misses() - before;
+  };
+  const uint64_t after_apply = read_fixes();
+  EXPECT_GT(after_apply, read_fixes());
+}
+
 TEST(ReplicationTest, RunStatsCarryReplicationCounters) {
   // A clean run (no kill armed): at shutdown the drain leaves zero lag.
   RunConfig run = CampaignRunConfig(Campaign::kPair, 6);
