@@ -1,7 +1,6 @@
 #include "lock/lock_table.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <functional>
 
 #include "util/check.h"
@@ -10,18 +9,9 @@ namespace xtc {
 
 namespace {
 
-bool ResolveTxLockCache(TxLockCache mode) {
-  switch (mode) {
-    case TxLockCache::kEnabled:
-      return true;
-    case TxLockCache::kDisabled:
-      return false;
-    case TxLockCache::kAuto:
-      break;
-  }
-  const char* env = std::getenv("XTC_TX_LOCK_CACHE");
-  return env == nullptr || std::string_view(env) != "0";
-}
+/// How many deadlock events the table keeps for analysis (paper §4.2:
+/// TaMix + XTCdeadlockDetector record the circumstances of each deadlock).
+constexpr size_t kDeadlockLogCapacity = 256;
 
 }  // namespace
 
@@ -32,12 +22,9 @@ LockTable::LockTable(const ModeTable* modes, LockTableOptions options)
   for (uint32_t i = 0; i < options_.shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
   }
-  cache_enabled_ = ResolveTxLockCache(options_.tx_lock_cache);
-  if (cache_enabled_) {
-    cache_shards_.reserve(options_.shards);
-    for (uint32_t i = 0; i < options_.shards; ++i) {
-      cache_shards_.push_back(std::make_unique<CacheShard>());
-    }
+  cache_shards_.reserve(options_.shards);
+  for (uint32_t i = 0; i < options_.shards; ++i) {
+    cache_shards_.push_back(std::make_unique<CacheShard>());
   }
 }
 
@@ -139,30 +126,24 @@ LockOutcome LockTable::Lock(uint64_t tx, std::string_view resource,
   if (IsCancelled(tx)) {
     CountDeniedRequest(resource);
     stat_cancelled_.fetch_add(1, std::memory_order_relaxed);
-    if (cache_enabled_) CacheInvalidate(tx);
+    CacheInvalidate(tx);
     return {Status::Cancelled(), kNoMode, kNoMode};
   }
-  if (cache_enabled_) {
-    LockOutcome out;
-    // A hit is an immediately granted request served without touching
-    // the resource shards (and thus without fault-injection points,
-    // which model denials of real table requests). TryCacheHit does the
-    // hit/miss accounting shard-locally; GetStats folds hits into
-    // requests + immediate_grants.
-    if (TryCacheHit(tx, resource, mode, duration, &out)) {
-      return out;
-    }
-  }
-  LockOutcome out = LockSlow(tx, resource, mode, duration);
-  if (cache_enabled_) {
-    if (out.status.ok()) {
-      CacheStore(tx, resource, out);
-    } else {
-      // Denied request: the caller is expected to abort, but nothing
-      // forces it to — drop the whole cache so a transaction that limps
-      // on can never act on state the table may since have changed.
-      CacheInvalidate(tx);
-    }
+  LockOutcome out;
+  // A hit is an immediately granted request served without touching the
+  // resource shards (and thus without fault-injection points, which
+  // model denials of real table requests). TryCacheHit does the hit/miss
+  // accounting shard-locally; GetStats folds hits into requests +
+  // immediate_grants.
+  if (TryCacheHit(tx, resource, mode, duration, &out)) return out;
+  out = LockSlow(tx, resource, mode, duration);
+  if (out.status.ok()) {
+    CacheStore(tx, resource, out);
+  } else {
+    // Denied request: the caller is expected to abort, but nothing
+    // forces it to — drop the whole cache so a transaction that limps on
+    // can never act on state the table may since have changed.
+    CacheInvalidate(tx);
   }
   return out;
 }
@@ -190,7 +171,7 @@ LockOutcome LockTable::LockSlow(uint64_t tx, std::string_view resource,
                             "plan, no real cycle existed";
       MutexLock g(graph_mu_);
       deadlock_log_.push_back(std::move(event));
-      if (deadlock_log_.size() > options_.deadlock_log_capacity) {
+      if (deadlock_log_.size() > kDeadlockLogCapacity) {
         deadlock_log_.pop_front();
       }
       return {Status::Deadlock("injected deadlock victim"), kNoMode, kNoMode};
@@ -266,7 +247,7 @@ LockOutcome LockTable::LockSlow(uint64_t tx, std::string_view resource,
                         "completed the cycle, and the closer aborts (") +
             (is_conversion ? "conversion wait)" : "fresh-request wait)");
         deadlock_log_.push_back(std::move(event));
-        if (deadlock_log_.size() > options_.deadlock_log_capacity) {
+        if (deadlock_log_.size() > kDeadlockLogCapacity) {
           deadlock_log_.pop_front();
         }
         detector_.ClearEdges(tx);
@@ -343,7 +324,7 @@ LockOutcome LockTable::LockSlow(uint64_t tx, std::string_view resource,
                         "completed the cycle, and the closer aborts (") +
             (is_conversion ? "conversion wait)" : "fresh-request wait)");
         deadlock_log_.push_back(std::move(event));
-        if (deadlock_log_.size() > options_.deadlock_log_capacity) {
+        if (deadlock_log_.size() > kDeadlockLogCapacity) {
           deadlock_log_.pop_front();
         }
         detector_.ClearEdges(tx);
@@ -528,7 +509,6 @@ void LockTable::CacheInvalidate(uint64_t tx) {
 }
 
 ModeId LockTable::CachedMode(uint64_t tx, std::string_view resource) const {
-  if (!cache_enabled_) return kNoMode;
   CacheShard& cs = CacheShardFor(tx);
   MutexLock guard(cs.mu);
   auto it = cs.tx.find(tx);
@@ -538,7 +518,6 @@ ModeId LockTable::CachedMode(uint64_t tx, std::string_view resource) const {
 }
 
 size_t LockTable::CachedLocksFor(uint64_t tx) const {
-  if (!cache_enabled_) return 0;
   CacheShard& cs = CacheShardFor(tx);
   MutexLock guard(cs.mu);
   auto it = cs.tx.find(tx);
@@ -546,7 +525,7 @@ size_t LockTable::CachedLocksFor(uint64_t tx) const {
 }
 
 void LockTable::EndOperation(uint64_t tx) {
-  if (cache_enabled_) CacheEndOperation(tx);
+  CacheEndOperation(tx);
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
     MutexLock guard(shard.mu);
@@ -585,7 +564,7 @@ void LockTable::EndOperation(uint64_t tx) {
 
 void LockTable::ReleaseAll(uint64_t tx) {
   // Cache first: it must never claim a lock the table has let go.
-  if (cache_enabled_) CacheInvalidate(tx);
+  CacheInvalidate(tx);
   for (auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
     MutexLock guard(shard.mu);

@@ -21,22 +21,21 @@
 //
 // Transaction-private lock cache: every DOM operation re-acquires the
 // whole ancestor path of intention locks (§3.2), so the vast majority of
-// requests ask for a mode the transaction already holds. With the cache
-// enabled (LockTableOptions::tx_lock_cache), LockTable keeps a per-tx
-// mirror of (long_mode, effective) for each held resource, sharded by
-// transaction id so cache lookups never touch the contended resource
-// shards. A request is served from the cache — skipping the resource
-// shard round trip entirely — only when the conversion matrix proves it
-// is a no-op: Convert(effective, mode) == {effective, kNoMode} (and, for
-// kCommit requests, the same for the long component, so a short hold is
-// never mistaken for commit-duration coverage). Because entries are only
-// ever written from Lock() outcomes (table truth), the mirror is exact
-// while it exists, and dropping it at any time is always safe. It is
-// dropped/downgraded coherently on EndOperation, ReleaseAll, and any
-// failed request (deadlock/timeout victimization, including fault-
-// injected victims). Conversions that would escalate the mode or demand
-// Fig. 4 children_mode side effects never match the hit condition, so
-// they always take the full table path.
+// requests ask for a mode the transaction already holds. LockTable keeps
+// a per-tx mirror of (long_mode, effective) for each held resource,
+// sharded by transaction id so cache lookups never touch the contended
+// resource shards. A request is served from the cache — skipping the
+// resource shard round trip entirely — only when the conversion matrix
+// proves it is a no-op: Convert(effective, mode) == {effective, kNoMode}
+// (and, for kCommit requests, the same for the long component, so a
+// short hold is never mistaken for commit-duration coverage). Because
+// entries are only ever written from Lock() outcomes (table truth), the
+// mirror is exact while it exists, and dropping it at any time is always
+// safe. It is dropped/downgraded coherently on EndOperation, ReleaseAll,
+// and any failed request (deadlock/timeout victimization, including
+// fault-injected victims). Conversions that would escalate the mode or
+// demand Fig. 4 children_mode side effects never match the hit
+// condition, so they always take the full table path.
 //
 // Cancellation: a waiter parked on a shard CV sleeps toward wait_timeout
 // (10 s by default) — far too long for coordinator stop, server drain, or
@@ -75,7 +74,9 @@ enum class LockDuration : uint8_t { kOperation = 0, kCommit = 1 };
 /// Observation hook for the protocol model checker (tools/protoverify).
 /// Callbacks fire from inside Lock() while the resource shard mutex is
 /// held, so implementations must not call back into the table. The
-/// threaded engine never installs one; see LockTableOptions::probe.
+/// threaded engine never installs one; see LockTableOptions::probe. A
+/// request served from the tx-private cache changes no table state and
+/// fires no callback.
 class LockEventProbe {
  public:
   virtual ~LockEventProbe() = default;
@@ -147,23 +148,12 @@ struct LockTableStats {
   }
 };
 
-/// Tri-state toggle for the transaction-private lock cache. kAuto reads
-/// the XTC_TX_LOCK_CACHE environment variable at table construction
-/// ("0" disables) and defaults to enabled, so the whole test suite can
-/// run both ways without code changes.
-enum class TxLockCache : uint8_t { kAuto = 0, kEnabled = 1, kDisabled = 2 };
-
 struct LockTableOptions {
   Duration wait_timeout = std::chrono::seconds(10);
   uint32_t shards = 32;
-  /// How many deadlock events to keep for analysis (paper §4.2: TaMix +
-  /// XTCdeadlockDetector record the circumstances of each deadlock).
-  size_t deadlock_log_capacity = 256;
   /// When set, Lock() evaluates the "lock.timeout" and "lock.deadlock"
   /// fault points on entry (spurious timeout / forced victim status).
   FaultInjector* fault_injector = nullptr;
-  /// Transaction-private lock cache (see file comment).
-  TxLockCache tx_lock_cache = TxLockCache::kAuto;
   /// Deterministic single-threaded mode for the protocol model checker:
   /// a request that would have to wait returns kWouldBlock immediately
   /// instead of blocking on the shard condition variable. The waiter's
@@ -255,8 +245,6 @@ class LockTable {
   ModeId HeldMode(uint64_t tx, std::string_view resource) const;
   size_t NumLockedResources() const;
   size_t LocksHeldBy(uint64_t tx) const;
-  /// Whether the tx-private cache is active (options resolved).
-  bool tx_cache_enabled() const { return cache_enabled_; }
   /// Effective mode the cache remembers for (tx, resource); kNoMode when
   /// no entry exists. While an entry exists it mirrors HeldMode exactly;
   /// an absent entry says nothing (the cache is dropped conservatively).
@@ -270,7 +258,7 @@ class LockTable {
   LockTableStats GetStats() const;
   void ResetStats();
 
-  /// The most recent deadlock events (oldest first).
+  /// The most recent deadlock events (oldest first; the last 256 kept).
   std::vector<DeadlockEvent> RecentDeadlocks() const;
 
  private:
@@ -409,7 +397,6 @@ class LockTable {
   const ModeTable* modes_;
   LockTableOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  bool cache_enabled_ = false;
   std::vector<std::unique_ptr<CacheShard>> cache_shards_;
 
   // Wait-for graph; only touched when a request blocks. Ordering: a
@@ -436,7 +423,6 @@ class LockTable {
   std::atomic<uint64_t> stat_deadlocks_{0};
   std::atomic<uint64_t> stat_conv_deadlocks_{0};
   std::atomic<uint64_t> stat_timeouts_{0};
-  std::atomic<uint64_t> stat_conversions_{0};
   std::atomic<uint64_t> stat_cancelled_{0};
   std::atomic<uint64_t> stat_cache_invalidations_{0};
 };

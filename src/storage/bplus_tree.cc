@@ -1,8 +1,10 @@
 #include "storage/bplus_tree.h"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "util/check.h"
@@ -11,10 +13,46 @@ namespace xtc {
 
 namespace {
 
+using Entries = std::vector<std::pair<std::string, std::string>>;
+
 std::string ChildValue(PageId id) {
   std::string v(sizeof(PageId), '\0');
   std::memcpy(v.data(), &id, sizeof(PageId));
   return v;
+}
+
+// Where to split a full leaf's sorted entries (with the new entry
+// applied): the size of the left half, or 0 when no two pages hold them.
+// When the page overflowed through a strictly ascending insert (document
+// bulk load in SPLID order), keep the left page full and open a fresh
+// right page — this is what gives the store its high occupancy (paper
+// §3.1: > 96 %). Otherwise balance the halves by bytes, moving outward
+// from the balance point until both fit.
+size_t LeafSplitPoint(const SlottedPage& page, const Entries& entries,
+                      bool appending) {
+  const size_t n = entries.size();
+  auto fits = [&](size_t m) {
+    return page.RebuildFits(entries, 0, m) && page.RebuildFits(entries, m, n);
+  };
+  if (appending && fits(n - 1)) return n - 1;
+  std::vector<uint64_t> before(n + 1, 0);  // bytes of entries[0, m)
+  for (size_t i = 0; i < n; ++i) {
+    before[i + 1] = before[i] + SlottedPage::EntrySize(entries[i].first,
+                                                       entries[i].second);
+  }
+  // The m in [1, n-1] whose left half is closest to half the bytes (ties
+  // to the smaller, so equal-sized entries split as n / 2).
+  size_t balance = 1;
+  while (balance < n - 1 && 2 * before[balance] < before[n]) ++balance;
+  if (balance > 1 && 2 * before[balance] >= before[n] &&
+      before[n] - 2 * before[balance - 1] <= 2 * before[balance] - before[n]) {
+    --balance;
+  }
+  for (size_t d = 0; d < n; ++d) {
+    if (balance + d < n && fits(balance + d)) return balance + d;
+    if (d > 0 && d < balance && fits(balance - d)) return balance - d;
+  }
+  return 0;
 }
 
 // One thread's leaf hints: the leaf its last descent of a tree ended in.
@@ -123,9 +161,21 @@ bool BplusTree::Contains(std::string_view key) const {
 }
 
 Status BplusTree::Insert(std::string_view key, std::string_view value) {
-  std::optional<Split> split;
-  XTC_RETURN_IF_ERROR(InsertRec(root_, key, value, &split));
-  if (split.has_value()) {
+  return Put(key, value, /*replace=*/false);
+}
+
+Status BplusTree::Put(std::string_view key, std::string_view value,
+                      bool replace) {
+  // At most two descents: one that only made room leaves the entry's
+  // position at a leaf edge, where the next split always fits it.
+  bool applied = false;
+  for (int round = 0; !applied; ++round) {
+    if (round == 2) return Status::Internal("leaf split made no room");
+    applied = true;
+    std::optional<Split> split;
+    XTC_RETURN_IF_ERROR(
+        InsertRec(root_, key, value, replace, &applied, &split));
+    if (!split.has_value()) continue;
     // Grow the tree: new root referencing the old root and the new right.
     auto guard = bm_->New();
     if (!guard.ok()) return guard.status();
@@ -138,26 +188,29 @@ Status BplusTree::Insert(std::string_view key, std::string_view value) {
     root_ = guard->id();
     InvalidateHints();
   }
-  ++count_;
+  if (!replace) ++count_;
   return Status::OK();
 }
 
 Status BplusTree::InsertRec(PageId node, std::string_view key,
-                            std::string_view value,
-                            std::optional<Split>* split) {
+                            std::string_view value, bool replace,
+                            bool* applied, std::optional<Split>* split) {
   auto guard = bm_->Fetch(node);
   if (!guard.ok()) return guard.status();
   SlottedPage sp(guard->page());
 
   if (sp.type() == PageType::kLeaf) {
     bool found = false;
-    sp.LowerBound(key, &found);
-    if (found) return Status::InvalidArgument("duplicate key");
-    if (sp.Insert(key, value)) {
+    const int slot = sp.LowerBound(key, &found);
+    if (found != replace) {
+      return replace ? Status::NotFound("key not in tree")
+                     : Status::InvalidArgument("duplicate key");
+    }
+    if (replace ? sp.UpdateValue(slot, value) : sp.Insert(key, value)) {
       guard->MarkDirty();
       return Status::OK();
     }
-    Status st = SplitLeaf(&sp, node, key, value, split);
+    Status st = SplitLeaf(&sp, node, key, value, replace, applied, split);
     guard->MarkDirty();
     return st;
   }
@@ -167,7 +220,8 @@ Status BplusTree::InsertRec(PageId node, std::string_view key,
   // Release the pin while descending? The guard keeps the parent pinned;
   // with a pool of thousands of frames and trees a few levels deep this
   // is safe and simplifies split propagation.
-  XTC_RETURN_IF_ERROR(InsertRec(child, key, value, &child_split));
+  XTC_RETURN_IF_ERROR(
+      InsertRec(child, key, value, replace, applied, &child_split));
   if (!child_split.has_value()) return Status::OK();
 
   if (sp.Insert(child_split->separator, ChildValue(child_split->right))) {
@@ -182,45 +236,70 @@ Status BplusTree::InsertRec(PageId node, std::string_view key,
 
 Status BplusTree::SplitLeaf(SlottedPage* left, PageId left_id,
                             std::string_view key, std::string_view value,
+                            bool replace, bool* applied,
                             std::optional<Split>* split) {
-  auto entries = left->Extract();
-  // Insert the new entry into its sorted position.
-  auto pos = entries.begin();
-  while (pos != entries.end() && pos->first < key) ++pos;
-  const bool appending = (pos == entries.end());
-  entries.insert(pos, {std::string(key), std::string(value)});
+  Entries entries = left->Extract();
+  auto pos = std::lower_bound(
+      entries.begin(), entries.end(), key,
+      [](const auto& e, std::string_view k) { return e.first < k; });
+  const size_t at = static_cast<size_t>(pos - entries.begin());
+  const bool appending = !replace && pos == entries.end();
+  std::string old_value;
+  if (replace) {
+    old_value = std::exchange(pos->second, std::string(value));
+  } else {
+    entries.insert(pos, {std::string(key), std::string(value)});
+  }
+  if (!left->RebuildFits(entries, at, at + 1)) {
+    return Status::InvalidArgument("entry does not fit on a page");
+  }
 
-  // Split point: halves in general; when the page overflowed through a
-  // strictly ascending insert (document bulk load in SPLID order), keep
-  // the left page full and open a fresh right page — this is what gives
-  // the store its high occupancy (paper §3.1: > 96 %).
-  size_t mid = appending ? entries.size() - 1 : entries.size() / 2;
+  size_t mid = LeafSplitPoint(*left, entries, appending);
+  if (mid == 0) {
+    // No two pages hold the entry with its neighbours (a large entry among
+    // small ones on a full page). Split the old entries at the entry's
+    // position instead; the caller's next descent finds that position at
+    // a leaf edge, and a split there fits since the entry fits alone.
+    *applied = false;
+    if (replace) {
+      entries[at].second = std::move(old_value);
+    } else {
+      entries.erase(entries.begin() + static_cast<long>(at));
+    }
+    mid = at;
+    if (mid == 0 || mid == entries.size()) {
+      return Status::Internal("leaf split: no split point fits");
+    }
+  }
+
+  // Pin every page the split writes before changing any of them.
+  const PageId old_next = left->next();
+  PageGuard next_guard;
+  if (old_next != kInvalidPageId) {
+    auto g = bm_->Fetch(old_next);
+    if (!g.ok()) return g.status();
+    next_guard = std::move(*g);
+  }
   auto right_guard = bm_->New();
   if (!right_guard.ok()) return right_guard.status();
   InvalidateHints();
   SlottedPage right(right_guard->page());
   right.Init(PageType::kLeaf, prefix_compression_);
 
-  std::vector<std::pair<std::string, std::string>> left_half(
-      entries.begin(), entries.begin() + static_cast<long>(mid));
-  std::vector<std::pair<std::string, std::string>> right_half(
-      entries.begin() + static_cast<long>(mid), entries.end());
-
-  PageId old_next = left->next();
-  if (!left->Rebuild(PageType::kLeaf, left_half) ||
-      !right.Rebuild(PageType::kLeaf, right_half)) {
-    return Status::Internal("leaf split halves do not fit");
-  }
+  const Entries left_half(entries.begin(),
+                          entries.begin() + static_cast<long>(mid));
+  const Entries right_half(entries.begin() + static_cast<long>(mid),
+                           entries.end());
+  XTC_CHECK(left->Rebuild(PageType::kLeaf, left_half) &&
+                right.Rebuild(PageType::kLeaf, right_half),
+            "leaf split halves must fit after RebuildFits");
   // Chain: left <-> right <-> old_next.
   right.set_next(old_next);
   right.set_prev(left_id);
   left->set_next(right_guard->id());
   if (old_next != kInvalidPageId) {
-    auto next_guard = bm_->Fetch(old_next);
-    if (!next_guard.ok()) return next_guard.status();
-    SlottedPage nsp(next_guard->page());
-    nsp.set_prev(right_guard->id());
-    next_guard->MarkDirty();
+    SlottedPage(next_guard.page()).set_prev(right_guard->id());
+    next_guard.MarkDirty();
   }
   right_guard->MarkDirty();
   *split = Split{right_half.front().first, right_guard->id()};
@@ -269,21 +348,15 @@ Status BplusTree::Update(std::string_view key, std::string_view value) {
   XTC_ASSIGN_OR_RETURN(LeafPos pos, SeekLeaf(key));
   if (!pos.found) return Status::NotFound("key not in tree");
   SlottedPage sp(pos.guard.page());
-  if (!sp.UpdateValue(pos.slot, value)) {
-    // Value grew past the page: delete + insert (may split). A failed
-    // UpdateValue leaves the old entry in place but may have moved it to
-    // a different slot, so re-locate the key instead of reusing the slot.
-    bool found = false;
-    int i = sp.LowerBound(key, &found);
-    if (!found) return Status::Internal("update lost key: " + std::string(key));
-    sp.Remove(i);
-    pos.guard.MarkDirty();
-    pos.guard.Release();
-    --count_;
-    return Insert(key, value);
-  }
+  // A failed UpdateValue keeps the old entry but may have compacted the
+  // page, so the page is dirty either way.
+  const bool in_place = sp.UpdateValue(pos.slot, value);
   pos.guard.MarkDirty();
-  return Status::OK();
+  if (in_place) return Status::OK();
+  // The value grew past the leaf: split it with the new value in the
+  // entry's place.
+  pos.guard.Release();
+  return Put(key, value, /*replace=*/true);
 }
 
 Status BplusTree::Delete(std::string_view key) {

@@ -171,14 +171,23 @@ class BplusTree {
 
   static uint64_t NextEpoch();
 
+  // Inserts an absent key (replace == false) or sets a present key's
+  // value (replace == true), splitting leaves as needed.
+  Status Put(std::string_view key, std::string_view value, bool replace);
+  // One descent of Put. *applied is cleared when the leaf split only made
+  // room for the entry (see SplitLeaf), and the caller must descend again.
   Status InsertRec(PageId node, std::string_view key, std::string_view value,
-                   std::optional<Split>* split);
+                   bool replace, bool* applied, std::optional<Split>* split);
   // Deletes `key` under `node`; *became_empty set when node has no live
   // entries/children afterwards.
   Status DeleteRec(PageId node, std::string_view key, bool* became_empty);
 
+  // Splits the full leaf `left` with (key, value) applied. Both halves are
+  // chosen and checked to fit, and every page the split needs is pinned,
+  // before any page changes: a failure leaves the tree as it was.
   Status SplitLeaf(SlottedPage* left, PageId left_id, std::string_view key,
-                   std::string_view value, std::optional<Split>* split);
+                   std::string_view value, bool replace, bool* applied,
+                   std::optional<Split>* split);
   Status SplitInner(SlottedPage* left, std::string_view key, PageId right_child,
                     std::optional<Split>* split);
 

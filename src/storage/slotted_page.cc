@@ -211,12 +211,7 @@ bool SlottedPage::Rebuild(
   set_aux2(a2);
   if (entries.empty()) return true;
   std::string_view new_prefix =
-      compress ? CommonPrefix(entries.front().first, entries.back().first)
-               : std::string_view();
-  // Bound the prefix so the header always fits comfortably.
-  if (new_prefix.size() > page_size() / 8) {
-    new_prefix = new_prefix.substr(0, page_size() / 8);
-  }
+      RebuildPrefix(entries.front().first, entries.back().first);
   set_prefix(new_prefix);
   uint16_t end = static_cast<uint16_t>(HeaderEnd());
   set_cell_end(end);
@@ -238,6 +233,28 @@ bool SlottedPage::Rebuild(
     SetSlotOffset(num_slots() - 1, off);
   }
   return true;
+}
+
+std::string_view SlottedPage::RebuildPrefix(std::string_view first,
+                                           std::string_view last) const {
+  if (!prefix_compression()) return {};
+  // Bound the prefix so the header always fits comfortably.
+  return CommonPrefix(first, last).substr(0, page_size() / 8);
+}
+
+bool SlottedPage::RebuildFits(
+    const std::vector<std::pair<std::string, std::string>>& entries,
+    size_t begin, size_t end) const {
+  if (begin == end) return true;
+  const size_t prefix =
+      RebuildPrefix(entries[begin].first, entries[end - 1].first).size();
+  // Rebuild's layout: header, prefix, then per entry its cell (key
+  // suffix) and slot.
+  uint64_t bytes = kHeaderSize + prefix;
+  for (size_t i = begin; i < end; ++i) {
+    bytes += EntrySize(entries[i].first, entries[i].second) - prefix;
+  }
+  return bytes <= page_size();
 }
 
 void SlottedPage::Compact(bool recompute_prefix) {

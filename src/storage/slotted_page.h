@@ -98,6 +98,13 @@ class SlottedPage {
   bool Rebuild(PageType type,
                const std::vector<std::pair<std::string, std::string>>& entries);
 
+  /// Whether Rebuild would fit entries[begin, end) (sorted) on this page.
+  /// Reads only the page's size and prefix-compression flag, so a split
+  /// can choose its halves before it changes any page.
+  bool RebuildFits(
+      const std::vector<std::pair<std::string, std::string>>& entries,
+      size_t begin, size_t end) const;
+
  private:
   uint8_t* data() { return page_->data(); }
   const uint8_t* data() const { return page_->data(); }
@@ -116,6 +123,10 @@ class SlottedPage {
   void SetSlotOffset(int i, uint16_t off);
   uint32_t HeaderEnd() const;
   uint32_t SlotArrayStart() const;
+
+  /// The page prefix Rebuild stores for sorted keys first..last.
+  std::string_view RebuildPrefix(std::string_view first,
+                                 std::string_view last) const;
 
   /// Compacts cells (removes holes); optionally re-derives the prefix.
   void Compact(bool recompute_prefix);

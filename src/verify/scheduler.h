@@ -74,6 +74,8 @@ struct EnumResult {
   uint64_t states = 0;     // DFS nodes visited
   uint64_t pruned = 0;     // subtrees cut by memoization
   uint64_t steps = 0;      // operation steps executed, replays included
+  /// Lock requests the table's tx-private cache served, replays included.
+  uint64_t lock_cache_hits = 0;
   /// Union over all explored schedules.
   AnomalyMask anomalies = 0;
   bool nonserializable = false;

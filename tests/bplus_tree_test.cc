@@ -89,6 +89,85 @@ TEST_F(BplusTreeTest, GrowingUpdatesInFullLeavesKeepNeighbors) {
   }
 }
 
+TEST_F(BplusTreeTest, LargeEntryAmongSmallOnesSplitsWithoutLoss) {
+  // Ascending inserts leave the left leaves full of ~20-byte entries. A
+  // 3500-byte entry in the middle of one fits on no two pages with its
+  // neighbours; growing or inserting it must still keep every key. An
+  // entry no page can hold must fail with the tree unchanged.
+  auto key = [](int i) {
+    char buf[16];
+    std::snprintf(buf, sizeof(buf), "k%07d", i);
+    return std::string(buf);
+  };
+  const int kKeys = 2000;  // even keys only
+  for (int i = 0; i < kKeys; i += 2) {
+    ASSERT_TRUE(tree_->Insert(key(i), "0123456789").ok());
+  }
+  const std::string grown(3500, 'g'), inserted(3500, 'i');
+  const std::string too_large(5000, 'x');
+  ASSERT_TRUE(tree_->Update(key(200), grown).ok());
+  ASSERT_TRUE(tree_->Insert(key(601), inserted).ok());
+  EXPECT_EQ(tree_->Update(key(1000), too_large).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(tree_->Insert(key(1001), too_large).code(),
+            StatusCode::kInvalidArgument);
+
+  EXPECT_EQ(tree_->size(), static_cast<uint64_t>(kKeys / 2 + 1));
+  for (int i = 0; i < kKeys; i += 2) {
+    auto v = tree_->Get(key(i));
+    ASSERT_TRUE(v.ok()) << "lost key " << key(i);
+    EXPECT_EQ(*v, i == 200 ? grown : "0123456789") << key(i);
+  }
+  EXPECT_EQ(*tree_->Get(key(601)), inserted);
+  EXPECT_FALSE(tree_->Contains(key(1001)));
+  uint64_t scanned = 0;
+  auto it = tree_->NewIterator();
+  for (it.SeekToFirst(); it.Valid(); it.Next()) ++scanned;
+  EXPECT_TRUE(it.status().ok());
+  EXPECT_EQ(scanned, tree_->size());
+}
+
+TEST(BplusTreeSplitFailureTest, FailedPageAllocationLeavesTheLeafIntact) {
+  // A leaf split that cannot allocate its right page (every frame of the
+  // pool pinned) must fail before it changes any page: the old value
+  // stays readable and the entry count unchanged.
+  StorageOptions options;
+  options.buffer_pool_pages = 4;
+  PageFile file(options);
+  BufferManager bm(&file, options);
+  BplusTree tree(&bm);
+  auto key = [](int i) { return "k" + std::to_string(1000 + i); };
+  int n = 0;
+  while (tree.Height() == 1) {
+    ASSERT_TRUE(tree.Insert(key(n++), std::string(100, 'v')).ok());
+  }
+  // Root + two leaves hold three frames; pin the fourth. The target key
+  // sits in the full left leaf, so a split pins it, its right neighbour
+  // and the root (all resident) and then finds no frame for New.
+  const uint64_t count = tree.size();
+  std::vector<PageGuard> pins;
+  auto pin = bm.New();
+  ASSERT_TRUE(pin.ok());
+  pins.push_back(std::move(*pin));
+  const uint64_t misses = bm.misses();
+  const std::string grown(2000, 'g');
+  EXPECT_EQ(tree.Update(key(n / 4), grown).code(),
+            StatusCode::kResourceExhausted);
+  EXPECT_EQ(bm.misses(), misses);  // every fetch hit: New failed
+  EXPECT_EQ(tree.size(), count);
+  EXPECT_EQ(*tree.Get(key(n / 4)), std::string(100, 'v'));
+  EXPECT_FALSE(tree.Insert(key(n / 4) + "a", grown).ok());
+  EXPECT_EQ(tree.size(), count);
+  for (int i = 0; i < n; ++i) {
+    EXPECT_EQ(*tree.Get(key(i)), std::string(100, 'v')) << key(i);
+  }
+
+  pins.clear();
+  ASSERT_TRUE(tree.Update(key(n / 4), grown).ok());
+  EXPECT_EQ(*tree.Get(key(n / 4)), grown);
+  EXPECT_EQ(tree.size(), count);
+}
+
 TEST_F(BplusTreeTest, SplitsGrowTheTree) {
   for (int i = 0; i < 3000; ++i) {
     char key[16];

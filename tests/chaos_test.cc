@@ -210,7 +210,6 @@ TEST(ChaosAbortTest, InjectedVictimWithWarmLockCacheObservesInvalidation) {
   FaultInjector faults(7);
   LockTableOptions options;
   options.fault_injector = &faults;
-  options.tx_lock_cache = TxLockCache::kEnabled;
   auto protocol = CreateProtocol("taDOM3+", options);
   LockManager lm(protocol.get());
   TransactionManager tm(&lm, &faults);

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "tamix/bib_generator.h"
 #include "util/fault_injector.h"
 
 namespace xtc {
@@ -323,6 +326,34 @@ TEST(DocumentAccessorTest, SubtreeAndChildrenEnumeration) {
   auto children = accessor.ChildrenOf(book);
   ASSERT_TRUE(children.ok());
   EXPECT_EQ(children->size(), 4u);  // attribute root + title/author/history
+}
+
+TEST(DocumentValidateTest, StringGrownPastItsLeafKeepsEveryNode) {
+  // The third title sits mid-leaf among small nodes, so its 3000-byte
+  // value fits on no two pages with its neighbours. The leaf split once
+  // failed after rewriting the left page: a whole leaf of nodes was lost
+  // and Validate reported orphans.
+  Document doc;
+  ASSERT_TRUE(GenerateBib(&doc, BibConfig::Tiny()).ok());
+  const uint64_t nodes = doc.num_nodes();
+  auto title = doc.NthElementByName("title", 2);
+  ASSERT_TRUE(title.has_value());
+  auto title_nodes = doc.Subtree(*title);
+  ASSERT_TRUE(title_nodes.ok());
+  std::optional<Splid> string_node;
+  for (const Node& n : *title_nodes) {
+    if (n.record.kind == NodeKind::kString) string_node = n.splid;
+  }
+  ASSERT_TRUE(string_node.has_value());
+
+  const std::string content(3000, 't');
+  ASSERT_TRUE(doc.UpdateContent(*string_node, content).ok());
+  EXPECT_EQ(doc.Get(*string_node)->content, content);
+  EXPECT_EQ(doc.num_nodes(), nodes);
+  auto all = doc.Subtree(Splid::Root());
+  ASSERT_TRUE(all.ok());
+  EXPECT_EQ(all->size(), nodes);
+  EXPECT_TRUE(doc.Validate().ok());
 }
 
 TEST(DocumentValidateTest, ReadFaultsYieldAStatusNeverAnAbort) {

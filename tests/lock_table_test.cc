@@ -1,5 +1,5 @@
 // Lock table tests: grants, conflicts, conversions, durations, blocking,
-// deadlock detection, timeouts.
+// deadlock detection, timeouts, and the tx-private lock cache.
 
 #include "lock/lock_table.h"
 
@@ -289,20 +289,7 @@ TEST_F(LockTableTest, InjectedLockFaultsShortCircuitRequests) {
   EXPECT_EQ(events[0].victim, 2u);
 }
 
-/// Fixture whose table has the tx-private lock cache explicitly enabled,
-/// so these tests assert the same behaviour regardless of the
-/// XTC_TX_LOCK_CACHE environment the suite runs under.
-class LockCacheTest : public LockTableTest {
- protected:
-  LockCacheTest() {
-    LockTableOptions options;
-    options.wait_timeout = Millis(300);
-    options.tx_lock_cache = TxLockCache::kEnabled;
-    table_ = std::make_unique<LockTable>(&modes_, options);
-  }
-};
-
-TEST_F(LockCacheTest, RepeatLocksAreServedFromTheCache) {
+TEST_F(LockTableTest, RepeatLocksAreServedFromTheCache) {
   ASSERT_TRUE(table_->Lock(1, "r", x_, LockDuration::kCommit).status.ok());
   // Re-lock at the same and at covered weaker modes: all cache hits.
   EXPECT_TRUE(table_->Lock(1, "r", x_, LockDuration::kCommit).status.ok());
@@ -311,15 +298,15 @@ TEST_F(LockCacheTest, RepeatLocksAreServedFromTheCache) {
   LockTableStats stats = table_->GetStats();
   EXPECT_EQ(stats.cache_hits, 3u);
   EXPECT_EQ(stats.cache_misses, 1u);
-  // Hits still count as (immediately granted) requests, so the existing
-  // request accounting stays comparable across cache on/off runs.
+  // Hits still count as (immediately granted) requests: "requests" is
+  // what the protocol asked for, not what reached the resource shards.
   EXPECT_EQ(stats.requests, 4u);
   EXPECT_EQ(stats.immediate_grants, 4u);
   EXPECT_EQ(stats.conversions, 0u);
   EXPECT_EQ(table_->LocksHeldBy(1), 1u);
 }
 
-TEST_F(LockCacheTest, OperationDurationDoesNotMasqueradeAsCommit) {
+TEST_F(LockTableTest, OperationDurationDoesNotMasqueradeAsCommit) {
   // Held only for the operation: the effective mode covers S, but the
   // long component is empty, so a kCommit request must take the table
   // round trip (which upgrades the long component) — a cache hit here
@@ -334,7 +321,7 @@ TEST_F(LockCacheTest, OperationDurationDoesNotMasqueradeAsCommit) {
   EXPECT_EQ(table_->HeldMode(1, "r"), s_);  // survived: it is a commit lock
 }
 
-TEST_F(LockCacheTest, EndOperationDropsPureShortEntries) {
+TEST_F(LockTableTest, EndOperationDropsPureShortEntries) {
   ASSERT_TRUE(table_->Lock(1, "s", s_, LockDuration::kOperation).status.ok());
   ASSERT_TRUE(table_->Lock(1, "l", s_, LockDuration::kCommit).status.ok());
   EXPECT_EQ(table_->CachedLocksFor(1), 2u);
@@ -348,7 +335,7 @@ TEST_F(LockCacheTest, EndOperationDropsPureShortEntries) {
   EXPECT_EQ(table_->GetStats().cache_hits, 1u);
 }
 
-TEST_F(LockCacheTest, ReleaseAllInvalidatesTheCache) {
+TEST_F(LockTableTest, ReleaseAllInvalidatesTheCache) {
   ASSERT_TRUE(table_->Lock(1, "a", s_, LockDuration::kCommit).status.ok());
   ASSERT_TRUE(table_->Lock(1, "b", x_, LockDuration::kCommit).status.ok());
   EXPECT_EQ(table_->CachedLocksFor(1), 2u);
@@ -360,7 +347,7 @@ TEST_F(LockCacheTest, ReleaseAllInvalidatesTheCache) {
   EXPECT_EQ(table_->GetStats().cache_hits, 0u);
 }
 
-TEST_F(LockCacheTest, DeniedRequestInvalidatesWarmCache) {
+TEST_F(LockTableTest, DeniedRequestInvalidatesWarmCache) {
   // Warm the cache, then get denied on another resource: the whole
   // per-tx cache must go, because the caller is expected to abort and a
   // transaction that limps on must re-validate everything.
@@ -373,7 +360,7 @@ TEST_F(LockCacheTest, DeniedRequestInvalidatesWarmCache) {
   EXPECT_GE(table_->GetStats().cache_invalidations, 1u);
 }
 
-TEST_F(LockCacheTest, IntrospectionAgreesWithTableWhileEntriesExist) {
+TEST_F(LockTableTest, IntrospectionAgreesWithTableWhileEntriesExist) {
   ASSERT_TRUE(table_->Lock(1, "r", is_, LockDuration::kCommit).status.ok());
   EXPECT_EQ(table_->CachedMode(1, "r"), table_->HeldMode(1, "r"));
   // A conversion through the table keeps the mirror exact.
@@ -383,7 +370,7 @@ TEST_F(LockCacheTest, IntrospectionAgreesWithTableWhileEntriesExist) {
   EXPECT_EQ(table_->CachedLocksFor(1), table_->LocksHeldBy(1));
 }
 
-TEST_F(LockCacheTest, ResetStatsClearsCacheCounters) {
+TEST_F(LockTableTest, ResetStatsClearsCacheCounters) {
   ASSERT_TRUE(table_->Lock(1, "r", s_, LockDuration::kCommit).status.ok());
   ASSERT_TRUE(table_->Lock(1, "r", s_, LockDuration::kCommit).status.ok());
   table_->ReleaseAll(1);
@@ -398,27 +385,10 @@ TEST_F(LockCacheTest, ResetStatsClearsCacheCounters) {
   EXPECT_EQ(stats.requests, 0u);
 }
 
-TEST_F(LockCacheTest, DisabledTableReportsNoCacheActivity) {
-  LockTableOptions options;
-  options.tx_lock_cache = TxLockCache::kDisabled;
-  LockTable t(&modes_, options);
-  EXPECT_FALSE(t.tx_cache_enabled());
-  ASSERT_TRUE(t.Lock(1, "r", s_, LockDuration::kCommit).status.ok());
-  ASSERT_TRUE(t.Lock(1, "r", s_, LockDuration::kCommit).status.ok());
-  EXPECT_EQ(t.CachedMode(1, "r"), kNoMode);
-  EXPECT_EQ(t.CachedLocksFor(1), 0u);
-  LockTableStats stats = t.GetStats();
-  EXPECT_EQ(stats.cache_hits, 0u);
-  EXPECT_EQ(stats.cache_misses, 0u);
-  EXPECT_EQ(stats.requests, 2u);
-  EXPECT_EQ(stats.immediate_grants, 2u);
-}
-
-TEST_F(LockCacheTest, InjectedVictimDeniesAndInvalidates) {
+TEST_F(LockTableTest, InjectedVictimDeniesAndInvalidates) {
   FaultInjector faults(33);
   LockTableOptions options;
   options.fault_injector = &faults;
-  options.tx_lock_cache = TxLockCache::kEnabled;
   LockTable t(&modes_, options);
   ASSERT_TRUE(t.Lock(1, "warm", s_, LockDuration::kCommit).status.ok());
   ASSERT_TRUE(t.Lock(1, "warm", s_, LockDuration::kCommit).status.ok());

@@ -44,12 +44,11 @@ SubtreeSpec Bib() {
 
 class Stack {
  public:
-  explicit Stack(std::string_view protocol_name, Duration timeout = Millis(150),
-                 TxLockCache cache = TxLockCache::kAuto) {
+  explicit Stack(std::string_view protocol_name,
+                 Duration timeout = Millis(150)) {
     EXPECT_TRUE(doc.BuildFromSpec(Bib()).ok());
     LockTableOptions options;
     options.wait_timeout = timeout;
-    options.tx_lock_cache = cache;
     protocol = CreateProtocol(protocol_name, options);
     EXPECT_NE(protocol, nullptr);
     lm = std::make_unique<LockManager>(protocol.get());
@@ -396,7 +395,7 @@ TEST(ConversionSideEffects, ChildLockSideEffectWithoutAccessorIsAnError) {
 // the cache can never serve, so the request reaches the table and the
 // per-child NR locks really appear.
 TEST(ConversionSideEffects, WarmCacheNeverSkipsChildLockSideEffect) {
-  Stack s("taDOM2", Millis(150), TxLockCache::kEnabled);
+  Stack s("taDOM2");
   auto tx = s.Begin();
   Splid book = s.ById(*tx, "b0");
   ASSERT_TRUE(s.nm->GetChildNodes(*tx, book).ok());  // LR on book

@@ -89,6 +89,23 @@ TEST(Scheduler, PruningPreservesOutcomes) {
   }
 }
 
+// The checker must verify the lock path the engine runs, cache hits
+// included: a change that routed enumeration around the tx-private cache
+// (a table option, a cache drop per step) would leave the matrix proven
+// on a path no run takes. Every protocol re-requests modes it holds
+// somewhere in the catalog.
+TEST(Scheduler, EnumerationServesRequestsFromTheLockCache) {
+  for (std::string_view p : AllProtocolNames()) {
+    uint64_t hits = 0;
+    for (const Scenario& sc : ScenarioCatalog()) {
+      EnumOptions opt;
+      opt.protocol = std::string(p);
+      hits += EnumerateSchedules(sc, opt).lock_cache_hits;
+    }
+    EXPECT_GT(hits, 0u) << p;
+  }
+}
+
 // The canonical lost-update scenario: present with locking off, gone
 // (replaced by deadlock-or-serialization) at repeatable.
 TEST(Scheduler, LostUpdateIsIsolationLevelDependent) {

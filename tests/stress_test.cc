@@ -121,15 +121,14 @@ TEST_P(StressTest, AbortStormRestoresExactState) {
 }
 
 TEST(StressLockCacheTest, ConcurrentCacheStaysCoherentWithTheTable) {
-  // Hammer one shared ancestor path from many threads with the
-  // tx-private cache explicitly enabled, mixing re-locks (hits),
-  // EndOperation downgrades, and full releases. Each thread owns its
-  // transaction ids, so the coherence probe — a cached entry must mirror
-  // the table's held mode exactly — can run safely mid-flight. Run under
-  // TSan this is also the data-race check for the cache shards.
+  // Hammer one shared ancestor path from many threads, mixing re-locks
+  // (tx-private cache hits), EndOperation downgrades, and full releases.
+  // Each thread owns its transaction ids, so the coherence probe — a
+  // cached entry must mirror the table's held mode exactly — can run
+  // safely mid-flight. Run under TSan this is also the data-race check
+  // for the cache shards.
   LockTableOptions options;
   options.wait_timeout = Millis(250);
-  options.tx_lock_cache = TxLockCache::kEnabled;
   auto protocol = CreateProtocol("taDOM3+", options);
   LockManager lm(protocol.get());
   LockTable& table = protocol->table();
