@@ -6,7 +6,9 @@
 // client-observed commit-latency percentiles (p50/p95/p99) per level —
 // the knee of the throughput curve against the p99 curve is the
 // saturation point, and the admission-rejection column shows where the
-// in-flight-transaction cap starts doing its job.
+// in-flight-transaction cap starts doing its job. The WAL is attached the
+// way perfbench attaches it (in-memory log, base checkpoint), so every
+// commit pays its log force.
 //
 //   ./bench/micro_server            full sweep, human-readable table
 //   ./bench/micro_server --smoke    quick CI run; exits non-zero on
@@ -28,6 +30,7 @@
 #include "protocols/protocol_registry.h"
 #include "tamix/metrics.h"
 #include "tx/transaction_manager.h"
+#include "wal/wal.h"
 
 using namespace xtc;
 
@@ -43,6 +46,40 @@ TxType MixType(Rng& rng) {
   if (slot < 16) return TxType::kRenameTopic;
   return TxType::kLendAndReturn;
 }
+
+/// One engine for one server: bench bib, WAL, taDOM3+. Member order is
+/// destruction order reversed: the WAL outlives the document (eviction
+/// write-backs consult its durable watermark).
+struct Engine {
+  Wal wal;
+  Document doc;
+  BibInfo info;
+  std::unique_ptr<XmlProtocol> protocol;
+  std::unique_ptr<LockManager> locks;
+  std::unique_ptr<TransactionManager> txm;
+  std::unique_ptr<NodeManager> nm;
+
+  Status Build() {
+    auto bib = GenerateBib(&doc, BibConfig::Bench());
+    if (!bib.ok()) return bib.status();
+    info = std::move(*bib);
+    doc.AttachWal(&wal);
+    XTC_RETURN_IF_ERROR(doc.buffer().FlushAll());
+    XTC_RETURN_IF_ERROR(doc.LogCheckpoint());
+    LockTableOptions lock_options;
+    lock_options.wait_timeout = Millis(2000);
+    protocol = CreateProtocol("taDOM3+", lock_options);
+    locks = std::make_unique<LockManager>(protocol.get());
+    txm = std::make_unique<TransactionManager>(locks.get(), nullptr, &wal);
+    nm = std::make_unique<NodeManager>(&doc, locks.get());
+    return Status::OK();
+  }
+
+  net::Server::Deps Deps() {
+    return net::Server::Deps{nm.get(), txm.get(), &protocol->table(), &info,
+                             &wal};
+  }
+};
 
 struct LevelResult {
   int connections = 0;
@@ -100,20 +137,9 @@ LevelResult RunFixedLevel(const net::ServerOptions& options, int n,
                           double seconds) {
   LevelResult level;
   level.connections = n;
-  Document doc;
-  auto info = GenerateBib(&doc, BibConfig::Bench());
-  if (!info.ok()) return level;
-  LockTableOptions lock_options;
-  lock_options.wait_timeout = Millis(2000);
-  std::unique_ptr<XmlProtocol> protocol =
-      CreateProtocol("taDOM3+", lock_options);
-  LockManager lock_manager(protocol.get());
-  TransactionManager tx_manager(&lock_manager);
-  NodeManager node_manager(&doc, &lock_manager);
-  net::Server server(
-      net::Server::Deps{&node_manager, &tx_manager, &protocol->table(),
-                        &*info, nullptr},
-      options);
+  Engine engine;
+  if (!engine.Build().ok()) return level;
+  net::Server server(engine.Deps(), options);
   if (!server.Start().ok()) return level;
 
   std::atomic<bool> stop{false};
@@ -121,7 +147,7 @@ LevelResult RunFixedLevel(const net::ServerOptions& options, int n,
   std::vector<std::thread> workers;
   workers.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
-    workers.emplace_back(ClosedLoopWorker, server.port(), &*info, i,
+    workers.emplace_back(ClosedLoopWorker, server.port(), &engine.info, i,
                          static_cast<uint64_t>(31 + n), &stop,
                          &worker_results[static_cast<size_t>(i)]);
   }
@@ -156,20 +182,11 @@ int main(int argc, char** argv) {
       smoke ? std::vector<int>{1, 4, 16} : std::vector<int>{1, 2, 4, 8, 16,
                                                             32, 64};
 
-  Document doc;
-  auto info = GenerateBib(&doc, BibConfig::Bench());
-  if (!info.ok()) {
-    std::fprintf(stderr, "bib generation failed: %s\n",
-                 info.status().ToString().c_str());
+  Engine engine;
+  if (Status st = engine.Build(); !st.ok()) {
+    std::fprintf(stderr, "engine set-up failed: %s\n", st.ToString().c_str());
     return 1;
   }
-  LockTableOptions lock_options;
-  lock_options.wait_timeout = Millis(2000);
-  std::unique_ptr<XmlProtocol> protocol =
-      CreateProtocol("taDOM3+", lock_options);
-  LockManager lock_manager(protocol.get());
-  TransactionManager tx_manager(&lock_manager);
-  NodeManager node_manager(&doc, &lock_manager);
 
   net::ServerOptions options;
   options.num_workers = 32;
@@ -177,10 +194,7 @@ int main(int argc, char** argv) {
   // The admission cap is part of what the sweep shows: the top levels
   // push past it and the rejected column grows instead of the p99.
   options.max_in_flight_tx = 48;
-  net::Server server(
-      net::Server::Deps{&node_manager, &tx_manager, &protocol->table(),
-                        &*info, nullptr},
-      options);
+  net::Server server(engine.Deps(), options);
   if (Status st = server.Start(); !st.ok()) {
     std::fprintf(stderr, "server start failed: %s\n", st.ToString().c_str());
     return 1;
@@ -189,7 +203,8 @@ int main(int argc, char** argv) {
   if (!json) {
     std::printf("# micro_server\n");
     std::printf("# socket front-end saturation: closed-loop remote TaMix "
-                "workers over loopback, %.1fs per level\n", level_seconds);
+                "workers over loopback, WAL on, %.1fs per level\n",
+                level_seconds);
     std::printf("%12s %10s %10s %10s %12s %9s %9s %9s\n", "connections",
                 "committed", "aborted", "rejected", "commit/s", "p50 ms",
                 "p95 ms", "p99 ms");
@@ -204,7 +219,7 @@ int main(int argc, char** argv) {
     std::vector<std::thread> workers;
     workers.reserve(static_cast<size_t>(n));
     for (int i = 0; i < n; ++i) {
-      workers.emplace_back(ClosedLoopWorker, server.port(), &*info, i,
+      workers.emplace_back(ClosedLoopWorker, server.port(), &engine.info, i,
                            static_cast<uint64_t>(7 + n), &stop,
                            &worker_results[static_cast<size_t>(i)]);
     }
@@ -281,6 +296,7 @@ int main(int argc, char** argv) {
     std::printf("{\n  \"benchmark\": \"micro_server saturation sweep\",\n");
     std::printf("  \"protocol\": \"taDOM3+\",\n");
     std::printf("  \"isolation\": \"repeatable\",\n");
+    std::printf("  \"wal\": true,\n");
     std::printf("  \"seconds_per_level\": %.1f,\n", level_seconds);
     std::printf("  \"max_in_flight_tx\": 48,\n");
     std::printf("  \"levels\": [\n");
@@ -332,9 +348,9 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(stats.protocol_errors));
       ++failures;
     }
-    if (tx_manager.num_active() != 0) {
+    if (engine.txm->num_active() != 0) {
       std::fprintf(stderr, "FAIL: %zu transactions leaked\n",
-                   tx_manager.num_active());
+                   engine.txm->num_active());
       ++failures;
     }
     if (failures != 0) return 1;

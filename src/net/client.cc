@@ -206,14 +206,21 @@ Status Client::SendAllDeadline(std::string_view bytes, TimePoint deadline) {
   return Status::OK();
 }
 
-Status Client::RecvExactlyDeadline(char* buf, size_t n, TimePoint deadline) {
+Status Client::RecvExactlyDeadline(char* buf, size_t n, TimePoint deadline,
+                                   bool poll_first) {
   if (options_.faults != nullptr &&
       options_.faults->ShouldFail(fault_points::kNetRecv)) {
     return Status::IoError("injected fault at net.recv");
   }
   size_t off = 0;
+  bool wait = poll_first;
   while (off < n) {
+    if (wait) {
+      Status st = PollFd(POLLIN, deadline, "recv");
+      if (!st.ok()) return st;
+    }
     const ssize_t got = ::recv(fd_, buf + off, n - off, 0);
+    wait = true;  // a short read took everything there was
     if (got > 0) {
       off += static_cast<size_t>(got);
       continue;
@@ -221,12 +228,7 @@ Status Client::RecvExactlyDeadline(char* buf, size_t n, TimePoint deadline) {
     if (got == 0) {
       return Status::IoError("server closed the connection");
     }
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      Status st = PollFd(POLLIN, deadline, "recv");
-      if (!st.ok()) return st;
-      continue;
-    }
-    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) continue;
     return ErrnoStatus("recv");
   }
   return Status::OK();
@@ -242,7 +244,8 @@ StatusOr<std::string> Client::ExchangeOnce(MsgType type, uint32_t request_id,
   }
 
   char header_bytes[kHeaderSize];
-  st = RecvExactlyDeadline(header_bytes, kHeaderSize, deadline);
+  st = RecvExactlyDeadline(header_bytes, kHeaderSize, deadline,
+                           /*poll_first=*/true);
   if (!st.ok()) {
     Close();
     return st;
@@ -255,7 +258,10 @@ StatusOr<std::string> Client::ExchangeOnce(MsgType type, uint32_t request_id,
   }
   std::string body(header.payload_len, '\0');
   if (header.payload_len > 0) {
-    st = RecvExactlyDeadline(body.data(), body.size(), deadline);
+    // The server writes header and payload in one send: the payload is
+    // normally here already.
+    st = RecvExactlyDeadline(body.data(), body.size(), deadline,
+                             /*poll_first=*/false);
     if (!st.ok()) {
       Close();
       return st;

@@ -130,7 +130,11 @@ class Client {
   /// (definitive); kIoError = attempts exhausted.
   Status Reconnect(int* attempt, uint32_t request_id);
   Status SendAllDeadline(std::string_view bytes, TimePoint deadline);
-  Status RecvExactlyDeadline(char* buf, size_t n, TimePoint deadline);
+  /// Reads exactly n bytes, never past them. `poll_first`: the bytes are
+  /// not expected yet (a response header), so wait for readability
+  /// before the first recv instead of making one that fails with EAGAIN.
+  Status RecvExactlyDeadline(char* buf, size_t n, TimePoint deadline,
+                             bool poll_first);
   /// Remaining-ms poll helper; fails with kIoError once past deadline.
   Status PollFd(short events, TimePoint deadline, const char* what);
 

@@ -21,8 +21,11 @@ namespace net {
 namespace {
 
 /// How long the event loop sleeps in epoll_wait when nothing happens —
-/// the cadence of idle reaping and deferred-fd closing.
+/// the cadence of idle reaping, lease expiry and deferred-fd closing.
 constexpr int kLoopTickMs = 250;
+/// epoll keys that are not session ids (those start at 1).
+constexpr uint64_t kStopKey = 0;
+constexpr uint64_t kListenKey = ~uint64_t{0};
 /// How long a worker waits for a stalled client to accept response bytes
 /// before declaring the session dead.
 constexpr int kSendTimeoutMs = 5000;
@@ -87,19 +90,22 @@ Status Server::Start() {
   }
   port_ = ntohs(addr.sin_port);
 
-  event_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (event_fd_ < 0) return ErrnoStatus("eventfd");
-  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  if (epoll_fd_ < 0) return ErrnoStatus("epoll_create1");
+  stop_fd_ = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (stop_fd_ < 0) return ErrnoStatus("eventfd");
+  loop_epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  if (loop_epoll_fd_ < 0) return ErrnoStatus("epoll_create1");
+  work_epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  if (work_epoll_fd_ < 0) return ErrnoStatus("epoll_create1");
 
   epoll_event ev{};
   ev.events = EPOLLIN;
-  ev.data.fd = listen_fd_;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev) < 0) {
+  ev.data.u64 = kListenKey;
+  if (::epoll_ctl(loop_epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev) < 0) {
     return ErrnoStatus("epoll_ctl(listen)");
   }
-  ev.data.fd = event_fd_;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, event_fd_, &ev) < 0) {
+  ev.data.u64 = kStopKey;
+  if (::epoll_ctl(loop_epoll_fd_, EPOLL_CTL_ADD, stop_fd_, &ev) < 0 ||
+      ::epoll_ctl(work_epoll_fd_, EPOLL_CTL_ADD, stop_fd_, &ev) < 0) {
     return ErrnoStatus("epoll_ctl(eventfd)");
   }
 
@@ -113,13 +119,6 @@ Status Server::Start() {
   return Status::OK();
 }
 
-void Server::WakeLoop() {
-  if (event_fd_ >= 0) {
-    uint64_t one = 1;
-    [[maybe_unused]] ssize_t n = ::write(event_fd_, &one, sizeof(one));
-  }
-}
-
 // --- Event loop -----------------------------------------------------------
 
 void Server::EventLoop() {
@@ -129,39 +128,29 @@ void Server::EventLoop() {
 
   while (!stopping_.load(std::memory_order_acquire)) {
     if (listener_armed && !accepting_.load(std::memory_order_acquire)) {
-      ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
+      ::epoll_ctl(loop_epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
       listener_armed = false;
     }
 
-    const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, kLoopTickMs);
+    const int n = ::epoll_wait(loop_epoll_fd_, events, kMaxEvents, kLoopTickMs);
     if (n < 0) {
       if (errno == EINTR) continue;
       break;  // epoll set is gone; shutdown is in progress
     }
     for (int i = 0; i < n; ++i) {
-      const int fd = events[i].data.fd;
-      if (fd == listen_fd_) {
+      const uint64_t key = events[i].data.u64;
+      if (key == kListenKey) {
         AcceptPending();
         continue;
       }
-      if (fd == event_fd_) {
-        uint64_t drained;
-        while (::read(event_fd_, &drained, sizeof(drained)) > 0) {
-        }
+      // A bare EPOLLRDHUP is an orderly EOF: the worker reads it after the
+      // frames before it and closes then. Only a reset or a full hangup
+      // closes from here, which also wakes a worker parked in a lock wait.
+      if (key == kStopKey ||
+          (events[i].events & (EPOLLHUP | EPOLLERR)) == 0) {
         continue;
       }
-      SessionPtr s;
-      {
-        MutexLock guard(sessions_mu_);
-        auto it = sessions_.find(fd);
-        if (it != sessions_.end()) s = it->second;
-      }
-      if (!s) continue;  // torn down after the event was queued
-      if ((events[i].events & (EPOLLHUP | EPOLLERR)) != 0) {
-        BeginClose(s);
-        continue;
-      }
-      if (!ReadSession(s)) BeginClose(s);
+      if (SessionPtr s = FindSession(key)) BeginClose(s);
     }
     CloseDeadFds();
     ReapIdle();
@@ -195,16 +184,20 @@ void Server::AcceptPending() {
 
     auto s = std::make_shared<Session>();
     s->fd = fd;
-    s->last_activity = Now();
+    s->last_activity.store(Now(), std::memory_order_relaxed);
     {
       MutexLock guard(sessions_mu_);
       s->id = next_session_id_++;
-      sessions_.emplace(fd, s);
+      sessions_.emplace(s->id, s);
     }
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
+    epoll_event hangup{};
+    hangup.events = EPOLLRDHUP | EPOLLET;
+    hangup.data.u64 = s->id;
+    epoll_event readable{};
+    readable.events = EPOLLIN | EPOLLONESHOT;
+    readable.data.u64 = s->id;
+    if (::epoll_ctl(loop_epoll_fd_, EPOLL_CTL_ADD, fd, &hangup) < 0 ||
+        ::epoll_ctl(work_epoll_fd_, EPOLL_CTL_ADD, fd, &readable) < 0) {
       BeginClose(s);
       continue;
     }
@@ -212,7 +205,18 @@ void Server::AcceptPending() {
   }
 }
 
-bool Server::ReadSession(const SessionPtr& s) {
+Server::SessionPtr Server::FindSession(uint64_t id) const {
+  MutexLock guard(sessions_mu_);
+  auto it = sessions_.find(id);
+  return it != sessions_.end() ? it->second : nullptr;
+}
+
+bool Server::Closing(Session* s) const {
+  MutexLock guard(s->mu);
+  return s->closing;
+}
+
+bool Server::ReadSession(const SessionPtr& s, std::vector<Frame>* frames) {
   // An injected receive failure is indistinguishable from the peer
   // resetting the connection: the session tears down (or parks).
   if (deps_.faults != nullptr &&
@@ -220,7 +224,7 @@ bool Server::ReadSession(const SessionPtr& s) {
     return false;
   }
   char buf[16 * 1024];
-  bool eof = false;
+  bool open = true;
   for (;;) {
     const ssize_t n = ::read(s->fd, buf, sizeof(buf));
     if (n > 0) {
@@ -233,6 +237,10 @@ bool Server::ReadSession(const SessionPtr& s) {
         stat_protocol_errors_.fetch_add(1, std::memory_order_relaxed);
         return false;
       }
+      // A short read drained the socket for now; whatever arrives later
+      // is reported by the re-armed fd, so skip the read that would only
+      // say EAGAIN.
+      if (static_cast<size_t>(n) < sizeof(buf)) break;
       continue;
     }
     // Orderly EOF often arrives in the same wakeup as the final frame's
@@ -241,28 +249,32 @@ bool Server::ReadSession(const SessionPtr& s) {
     // outcome recorded) even though the response has nowhere to go —
     // it is what a resumed client will retry for.
     if (n == 0) {
-      eof = true;
+      open = false;
       break;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
     if (errno == EINTR) continue;
     return false;
   }
-  s->last_activity = Now();
+  s->last_activity.store(Now(), std::memory_order_relaxed);
 
   // Extract every complete frame.
-  while (s->rbuf.size() >= kHeaderSize) {
+  size_t consumed = 0;
+  while (s->rbuf.size() - consumed >= kHeaderSize) {
+    const std::string_view rest = std::string_view(s->rbuf).substr(consumed);
     FrameHeader header;
-    Status st = DecodeHeader(s->rbuf, &header);
+    Status st = DecodeHeader(rest, &header);
     if (!st.ok()) {
       // Header-level corruption: the type and request_id bytes cannot be
       // trusted and a length-prefixed stream cannot resynchronize, so
       // there is nothing meaningful to answer — drop the connection.
       stat_protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-      return false;
+      open = false;
+      break;
     }
-    if (s->rbuf.size() < kHeaderSize + header.payload_len) break;  // partial
-    std::string_view payload(s->rbuf.data() + kHeaderSize, header.payload_len);
+    if (rest.size() < kHeaderSize + header.payload_len) break;  // partial
+    const std::string_view payload = rest.substr(kHeaderSize, header.payload_len);
+    consumed += kHeaderSize + header.payload_len;
     stat_frames_received_.fetch_add(1, std::memory_order_relaxed);
 
     // The header framed correctly, so type/request_id are reliable and
@@ -272,60 +284,30 @@ bool Server::ReadSession(const SessionPtr& s) {
     Frame frame;
     frame.type = header.type & static_cast<uint8_t>(~kResponseBit);
     frame.request_id = header.request_id;
-    frame.enqueued = Now();
+    frame.extracted = Now();
     if ((header.type & kResponseBit) != 0) {
       stat_protocol_errors_.fetch_add(1, std::memory_order_relaxed);
       frame.reject = Status::InvalidArgument("response frame sent to server");
     } else if (Status pst = CheckPayload(header, payload); !pst.ok()) {
       stat_protocol_errors_.fetch_add(1, std::memory_order_relaxed);
       frame.reject = std::move(pst);
+    } else if (frames->size() >= options_.max_session_pending) {
+      // Pipelining far past the response stream violates the protocol.
+      stat_protocol_errors_.fetch_add(1, std::memory_order_relaxed);
+      frame.reject = Status::ResourceExhausted("session pipeline cap");
+    } else if (queued_frames_.load(std::memory_order_acquire) >=
+               options_.max_queue_depth) {
+      frame.overloaded = true;
     } else {
       frame.payload.assign(payload);
-      if (queued_frames_.load(std::memory_order_acquire) >=
-          options_.max_queue_depth) {
-        frame.overloaded = true;
-        frame.payload.clear();
-      }
     }
     const bool fatal = !frame.reject.ok();
-    s->rbuf.erase(0, kHeaderSize + header.payload_len);
-    EnqueueFrame(s, std::move(frame));
-    if (fatal) return true;  // teardown happens after the error response
-  }
-  if (eof) {
-    // Frames extracted above are already with a worker; it closes the
-    // session once the queue drains. A bare EOF closes right here.
-    MutexLock guard(s->mu);
-    s->eof_received = true;
-    return s->busy || !s->pending.empty();
-  }
-  return true;
-}
-
-void Server::EnqueueFrame(const SessionPtr& s, Frame frame) {
-  bool schedule = false;
-  {
-    MutexLock guard(s->mu);
-    if (s->closing) return;
-    if (s->pending.size() >= options_.max_session_pending) {
-      // Pipelining far past the response stream violates the protocol.
-      frame.payload.clear();
-      frame.overloaded = false;
-      frame.reject = Status::ResourceExhausted("session pipeline cap");
-      stat_protocol_errors_.fetch_add(1, std::memory_order_relaxed);
-    }
-    s->pending.push_back(std::move(frame));
+    frames->push_back(std::move(frame));
     queued_frames_.fetch_add(1, std::memory_order_acq_rel);
-    if (!s->busy) {
-      s->busy = true;
-      schedule = true;
-    }
+    if (fatal) break;  // teardown happens after the error response
   }
-  if (schedule) {
-    MutexLock guard(queue_mu_);
-    work_queue_.push_back(s);
-    queue_cv_.notify_one();
-  }
+  s->rbuf.erase(0, consumed);
+  return open;
 }
 
 void Server::BeginClose(const SessionPtr& s) {
@@ -334,8 +316,6 @@ void Server::BeginClose(const SessionPtr& s) {
     MutexLock guard(s->mu);
     if (s->closing) return;
     s->closing = true;
-    queued_frames_.fetch_sub(s->pending.size(), std::memory_order_acq_rel);
-    s->pending.clear();
     teardown_now = !s->busy;
   }
   // A transaction parked in LockTable::Lock() must be woken or teardown
@@ -356,17 +336,17 @@ void Server::Teardown(const SessionPtr& s) {
   ParkOrAbort(s.get());
   {
     MutexLock guard(sessions_mu_);
-    sessions_.erase(s->fd);
+    sessions_.erase(s->id);
   }
-  // Only the event loop closes fds (a worker closing here could race a
-  // just-dispatched epoll event onto a reused descriptor). Shut the
-  // socket down now so any such event reads EOF, and let the loop close.
+  // Only the event loop closes fds, on its next tick: a descriptor number
+  // closed here could be reused by the next accept while a thread that
+  // still holds this session is about to touch the old number. Shut the
+  // socket down now so the peer sees EOF at once.
   ::shutdown(s->fd, SHUT_RDWR);
   {
     MutexLock guard(dead_fds_mu_);
     dead_fds_.push_back(s->fd);
   }
-  WakeLoop();
   stat_sessions_closed_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -384,8 +364,11 @@ void Server::ReapIdle() {
   std::vector<SessionPtr> idle;
   {
     MutexLock guard(sessions_mu_);
-    for (const auto& [fd, s] : sessions_) {
-      if (now - s->last_activity > options_.idle_timeout) idle.push_back(s);
+    for (const auto& [id, s] : sessions_) {
+      if (now - s->last_activity.load(std::memory_order_relaxed) >
+          options_.idle_timeout) {
+        idle.push_back(s);
+      }
     }
   }
   for (const SessionPtr& s : idle) {
@@ -398,71 +381,55 @@ void Server::ReapIdle() {
 
 void Server::WorkerLoop() {
   for (;;) {
-    SessionPtr s;
+    // One event at a time: a worker that took several ready sessions
+    // would serve them in turn while idle workers slept.
+    epoll_event ev;
+    const int n = ::epoll_wait(work_epoll_fd_, &ev, 1, -1);
+    if (stopping_.load(std::memory_order_acquire)) return;
+    if (n < 0 && errno != EINTR) return;
+    if (n <= 0 || ev.data.u64 == kStopKey) continue;
+    SessionPtr s = FindSession(ev.data.u64);
+    if (s == nullptr) continue;  // torn down after the event was queued
     {
-      MutexLock guard(queue_mu_);
-      queue_cv_.wait(guard.native(), [this]() XTC_REQUIRES(queue_mu_) {
-        return stopping_.load(std::memory_order_acquire) ||
-               !work_queue_.empty();
-      });
-      if (work_queue_.empty()) return;  // stopping
-      s = std::move(work_queue_.front());
-      work_queue_.pop_front();
+      MutexLock guard(s->mu);
+      if (s->closing) continue;  // BeginClose tore it down (it was idle)
+      s->busy = true;
     }
+    ServeSession(s);
+  }
+}
 
-    for (;;) {
-      Frame frame;
-      bool have_frame = false;
-      bool teardown = false;
-      {
-        MutexLock guard(s->mu);
-        if (s->closing) {
-          queued_frames_.fetch_sub(s->pending.size(),
-                                   std::memory_order_acq_rel);
-          s->pending.clear();
-          s->busy = false;
-          teardown = true;
-        } else if (s->pending.empty()) {
-          s->busy = false;
-          if (s->eof_received) {
-            // The peer hung up while we drained its last frames; no new
-            // ones can arrive. Close now that the queue is empty.
-            s->closing = true;
-            teardown = true;
-          }
-        } else {
-          frame = std::move(s->pending.front());
-          s->pending.pop_front();
-          queued_frames_.fetch_sub(1, std::memory_order_acq_rel);
-          have_frame = true;
-        }
-      }
-      if (teardown) {
-        Teardown(s);
-        break;
-      }
-      if (!have_frame) break;
-      if (!Process(s, frame)) {
-        bool teardown_now = false;
-        {
-          MutexLock guard(s->mu);
-          if (!s->closing) {
-            s->closing = true;
-            teardown_now = true;
-          }
-          queued_frames_.fetch_sub(s->pending.size(),
-                                   std::memory_order_acq_rel);
-          s->pending.clear();
-          s->busy = false;
-        }
-        // If BeginClose() marked it first, it saw busy==true and left
-        // teardown to us either way.
-        Teardown(s);
-        (void)teardown_now;
-        break;
-      }
+void Server::ServeSession(const SessionPtr& s) {
+  std::vector<Frame> frames;
+  const bool stream_open = ReadSession(s, &frames);
+  bool healthy = true;
+  size_t next = 0;
+  // A BeginClose (reset, idle reap, drain, resume) drops the frames not
+  // yet executed.
+  while (healthy && next < frames.size() && !Closing(s.get())) {
+    queued_frames_.fetch_sub(1, std::memory_order_acq_rel);
+    healthy = Process(s, frames[next++]);
+  }
+  queued_frames_.fetch_sub(frames.size() - next, std::memory_order_acq_rel);
+
+  bool teardown;
+  {
+    // Re-arm under the mutex: no one can tear the session down (and
+    // retire its fd number) between the MOD and the busy flag dropping.
+    // Bytes that arrived meanwhile make the fd fire at once.
+    MutexLock guard(s->mu);
+    epoll_event readable{};
+    readable.events = EPOLLIN | EPOLLONESHOT;
+    readable.data.u64 = s->id;
+    teardown = !stream_open || !healthy || s->closing ||
+               ::epoll_ctl(work_epoll_fd_, EPOLL_CTL_MOD, s->fd, &readable) < 0;
+    if (teardown) {
+      s->closing = true;
+    } else {
+      s->busy = false;
     }
   }
+  if (teardown) Teardown(s);
 }
 
 bool Server::Process(const SessionPtr& s, Frame& frame) {
@@ -489,7 +456,7 @@ bool Server::Process(const SessionPtr& s, Frame& frame) {
     // The client retried a request whose response it never saw; answer
     // with the recorded outcome, never re-execute (exactly-once).
     stat_dedup_hits_.fetch_add(1, std::memory_order_relaxed);
-  } else if (Now() - frame.enqueued > options_.request_deadline &&
+  } else if (Now() - frame.extracted > options_.request_deadline &&
              frame.type != static_cast<uint8_t>(MsgType::kAbort)) {
     // Stale work is not worth doing — the client gave up long ago. Abort
     // is exempt: it is how transactions stop holding locks.
@@ -1051,7 +1018,6 @@ void Server::Drain() {
   if (!started_.load(std::memory_order_acquire)) return;
   if (draining_.exchange(true)) return;
   accepting_.store(false, std::memory_order_release);
-  WakeLoop();
 
   // Parked cores hold active_tx_ slots but no client will ever finish
   // them now (accepting_ is off) — abort them up front so phase 1 only
@@ -1069,7 +1035,7 @@ void Server::Drain() {
   std::vector<SessionPtr> remaining;
   {
     MutexLock guard(sessions_mu_);
-    for (const auto& [fd, s] : sessions_) remaining.push_back(s);
+    for (const auto& [id, s] : sessions_) remaining.push_back(s);
   }
   for (const SessionPtr& s : remaining) BeginClose(s);
   const TimePoint hard_deadline = Now() + options_.drain_timeout;
@@ -1089,11 +1055,10 @@ void Server::Stop() {
   if (!started_.load(std::memory_order_acquire)) return;
   Drain();
   if (stopping_.exchange(true)) return;
-  {
-    MutexLock guard(queue_mu_);
-    queue_cv_.notify_all();
+  if (stop_fd_ >= 0) {
+    const uint64_t one = 1;
+    [[maybe_unused]] const ssize_t n = ::write(stop_fd_, &one, sizeof(one));
   }
-  WakeLoop();
   for (std::thread& t : workers_) {
     if (t.joinable()) t.join();
   }
@@ -1103,7 +1068,7 @@ void Server::Stop() {
   std::vector<SessionPtr> remaining;
   {
     MutexLock guard(sessions_mu_);
-    for (const auto& [fd, s] : sessions_) remaining.push_back(s);
+    for (const auto& [id, s] : sessions_) remaining.push_back(s);
     sessions_.clear();
   }
   for (const SessionPtr& s : remaining) {
@@ -1118,9 +1083,10 @@ void Server::Stop() {
   }
   CloseDeadFds();
   if (listen_fd_ >= 0) ::close(listen_fd_);
-  if (event_fd_ >= 0) ::close(event_fd_);
-  if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  listen_fd_ = event_fd_ = epoll_fd_ = -1;
+  for (int fd : {stop_fd_, loop_epoll_fd_, work_epoll_fd_}) {
+    if (fd >= 0) ::close(fd);
+  }
+  listen_fd_ = stop_fd_ = loop_epoll_fd_ = work_epoll_fd_ = -1;
 }
 
 RunStats Server::run_stats() const {

@@ -1,35 +1,48 @@
-// Socket front-end of the XDBMS (DESIGN.md §8): an epoll event loop plus
-// a bounded worker pool that multiplexes many client connections onto the
-// existing TransactionManager/LockManager/Document stack. The paper ran
-// TaMix from remote client machines against the XTC server; this is that
-// boundary, over loopback or a real NIC.
+// Socket front-end of the XDBMS (DESIGN.md §8): a bounded worker pool
+// that multiplexes many client connections onto the existing
+// TransactionManager/LockManager/Document stack, plus one event-loop
+// thread for accept and housekeeping. The paper ran TaMix from remote
+// client machines against the XTC server; this is that boundary, over
+// loopback or a real NIC.
 //
 // Threading model
-//   * One event-loop thread owns the listener, the epoll set, all reads,
-//     frame extraction, and idle-session reaping. It never executes a
-//     request and never blocks on a lock, so accept/read latency is
-//     independent of workload contention.
-//   * N worker threads execute requests. A session is processed by at
-//     most one worker at a time (per-session frame queue + busy flag), so
-//     requests of one connection execute in order and the transaction
-//     state needs no lock of its own. Responses are written by the
-//     processing worker directly to the socket.
+//   * N worker threads read, execute and answer their own sessions. Every
+//     session fd sits in one shared worker epoll set, registered
+//     EPOLLIN | EPOLLONESHOT and keyed by session id, so the kernel hands
+//     a readable session to exactly one worker. That worker reads,
+//     extracts frames, executes them in order, writes each response, and
+//     re-arms the fd. The one-shot arming is the "at most one worker per
+//     session" guarantee: requests of one connection execute in order and
+//     the transaction state needs no lock of its own. A round trip wakes
+//     two threads, the worker and the client.
+//   * One event-loop thread owns the listener and the per-tick
+//     housekeeping: idle reaping, lease expiry and closing retired fds.
+//     It also watches every session fd edge-triggered for a hangup
+//     (EPOLLRDHUP | EPOLLET): an RST or HUP closes the session even while
+//     its worker is parked in LockTable::Lock(). It never executes a
+//     request and never blocks on a lock.
+//   * Stop() wakes every worker through an eventfd in the worker set that
+//     is never drained.
 //
 // Admission control
 //   * max_sessions: connections beyond it are accepted and immediately
 //     closed (the cheapest honest signal).
 //   * max_in_flight_tx: kBegin beyond it is answered kResourceExhausted
 //     — the client backs off; nothing queues.
-//   * max_queue_depth: frames beyond it (global, across sessions) are
-//     answered kResourceExhausted without executing.
-//   * request_deadline: a frame that waited in queue longer than this is
-//     answered kResourceExhausted without executing (stale work is not
-//     worth doing — the client has long since timed out).
+//   * max_queue_depth: frames extracted but not yet executed (global,
+//     across sessions); frames beyond it are answered kResourceExhausted
+//     without executing.
+//   * request_deadline: a frame that waited longer than this between its
+//     extraction and its turn is answered kResourceExhausted without
+//     executing (stale work is not worth doing — the client has long
+//     since timed out).
 //
 // Shutdown
-//   * Client disconnect / idle reap: the session's transaction — even one
+//   * Reset / hangup / idle reap: the session's transaction — even one
 //     parked inside LockTable::Lock() — is cancelled (LockTable::CancelTx
 //     wakes it with kCancelled), aborted, and its locks released.
+//   * Orderly EOF (the peer closed or half-closed): the worker executes
+//     every frame that arrived before it, then closes the session.
 //   * Drain()/Stop(): stop accepting, give in-flight transactions
 //     drain_timeout to finish, cancel + abort the stragglers, flush the
 //     WAL, join all threads. Never leaves a transaction active.
@@ -54,7 +67,6 @@
 #define XTC_NET_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -86,9 +98,10 @@ struct ServerOptions {
   size_t max_sessions = 256;
   size_t max_in_flight_tx = 64;
   size_t max_queue_depth = 256;
-  /// Per-session pending-frame cap. A synchronous request–response
-  /// client never has more than 1; a client that pipelines past this is
-  /// violating the protocol and is disconnected.
+  /// Per-session cap on frames extracted but not yet executed. A
+  /// synchronous request–response client never has more than 1; a client
+  /// that pipelines past this is violating the protocol and is
+  /// disconnected.
   size_t max_session_pending = 64;
   Duration request_deadline = std::chrono::seconds(10);
   Duration idle_timeout = std::chrono::seconds(60);
@@ -151,10 +164,11 @@ class Server {
     uint8_t type = 0;
     uint32_t request_id = 0;
     std::string payload;
-    TimePoint enqueued;
-    /// Set by the event loop: answer kResourceExhausted, do not execute.
+    /// request_deadline is measured from here.
+    TimePoint extracted;
+    /// Set at extraction: answer kResourceExhausted, do not execute.
     bool overloaded = false;
-    /// Set by the event loop on framing/decode errors: answer with this
+    /// Set at extraction on framing/decode errors: answer with this
     /// status, then disconnect.
     Status reject;
   };
@@ -168,8 +182,9 @@ class Server {
 
   /// The resumable half of a session: everything that survives the TCP
   /// connection under a lease. Touched only by the worker currently
-  /// processing the owning session (the busy flag serializes workers) or,
-  /// once parked, by whoever removed it from parked_ — never both.
+  /// owning the session (the one-shot arming and the busy flag serialize
+  /// workers) or, once parked, by whoever removed it from parked_ — never
+  /// both.
   struct SessionCore {
     /// Resume token handed out in the kHello response; 0 = none issued.
     uint64_t token_id = 0;
@@ -185,18 +200,16 @@ class Server {
   struct Session {
     int fd = -1;
     uint64_t id = 0;
-    std::string rbuf;  // unparsed inbound bytes (event loop only)
-    TimePoint last_activity;  // event loop only
+    std::string rbuf;  // unparsed inbound bytes (owning worker only)
+    /// Last read; written by the owning worker, read by the reaper.
+    std::atomic<TimePoint> last_activity;
     Mutex mu;
-    std::deque<Frame> pending XTC_GUARDED_BY(mu);
+    /// A worker owns the session: between taking its readiness event and
+    /// re-arming the fd. Teardown is then that worker's job.
     bool busy XTC_GUARDED_BY(mu) = false;
     bool closing XTC_GUARDED_BY(mu) = false;
-    /// Orderly EOF seen with complete frames still buffered: the worker
-    /// executes them first, then closes (the peer may be gone, but under
-    /// a lease these are the outcomes a resumed client retries for).
-    bool eof_received XTC_GUARDED_BY(mu) = false;
-    /// Resumable state; same ownership discipline as its fields had when
-    /// they lived directly on the Session (worker-only), so unguarded.
+    /// Resumable state; owned by the worker that owns the session, so
+    /// unguarded.
     std::unique_ptr<SessionCore> core = std::make_unique<SessionCore>();
     /// Mirror of core->tx->id() for the event loop's CancelTx on
     /// disconnect (only consulted when leases are off or draining).
@@ -214,12 +227,16 @@ class Server {
   void WorkerLoop();
 
   void AcceptPending();
-  /// Reads everything available; extracts frames; queues work. Returns
-  /// false when the session must be torn down (EOF/error).
-  bool ReadSession(const SessionPtr& s);
-  /// Queues one frame (or its overload/reject marker) for the session and
-  /// schedules the session on the work queue when idle.
-  void EnqueueFrame(const SessionPtr& s, Frame frame);
+  SessionPtr FindSession(uint64_t id) const;
+  /// The owning worker's turn: reads, executes the extracted frames in
+  /// order, then re-arms the fd or tears the session down.
+  void ServeSession(const SessionPtr& s);
+  /// Reads what is available and extracts every complete frame into
+  /// *frames, stamped and admission-checked. Returns false when the
+  /// stream ended (EOF, error, corrupt header); the frames extracted
+  /// before the end still execute.
+  bool ReadSession(const SessionPtr& s, std::vector<Frame>* frames);
+  bool Closing(Session* s) const;
   /// Marks the session closing, cancels its transaction's lock waits, and
   /// tears it down right away unless a worker owns it (then that worker
   /// finishes and tears it down).
@@ -277,10 +294,8 @@ class Server {
   /// AbortCore + clears the session's tx_id mirror.
   void AbortSessionTx(Session* s);
   bool SendAll(const SessionPtr& s, std::string_view bytes);
-  /// Nudges the event loop out of epoll_wait (via the eventfd).
-  void WakeLoop();
   /// Closes fds retired by Teardown (event loop / post-join only; see the
-  /// comment in Teardown for why workers never close fds themselves).
+  /// comment in Teardown for why nobody else closes them).
   void CloseDeadFds();
 
   Deps deps_;
@@ -288,8 +303,13 @@ class Server {
   MetricsCollector metrics_;
 
   int listen_fd_ = -1;
-  int event_fd_ = -1;
-  int epoll_fd_ = -1;
+  /// Written once by Stop() and never drained: wakes every worker (and
+  /// the loop) for good.
+  int stop_fd_ = -1;
+  /// The loop's set: listener, stop_fd_, session hangups.
+  int loop_epoll_fd_ = -1;
+  /// The workers' set: one-shot session readiness, stop_fd_.
+  int work_epoll_fd_ = -1;
   uint16_t port_ = 0;
   std::atomic<bool> started_{false};
   std::atomic<bool> stopping_{false};
@@ -300,6 +320,7 @@ class Server {
   std::vector<std::thread> workers_;
 
   mutable Mutex sessions_mu_;
+  /// By session id (the epoll key).
   std::unordered_map<uint64_t, SessionPtr> sessions_
       XTC_GUARDED_BY(sessions_mu_);
   uint64_t next_session_id_ XTC_GUARDED_BY(sessions_mu_) = 1;
@@ -313,9 +334,7 @@ class Server {
   std::unordered_map<uint64_t, SessionPtr> live_tokens_
       XTC_GUARDED_BY(parked_mu_);
 
-  mutable Mutex queue_mu_;
-  std::condition_variable queue_cv_;
-  std::deque<SessionPtr> work_queue_ XTC_GUARDED_BY(queue_mu_);
+  /// Frames extracted but not yet executed, across sessions.
   std::atomic<size_t> queued_frames_{0};
   std::atomic<size_t> active_tx_{0};
 

@@ -11,6 +11,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -71,6 +72,14 @@ class RawConn {
   void Close() {
     if (fd_ >= 0) ::close(fd_);
     fd_ = -1;
+  }
+  /// Sends FIN but keeps reading: the server sees an orderly EOF.
+  void ShutdownWrite() { ::shutdown(fd_, SHUT_WR); }
+  /// Closes with a zero linger, so the kernel sends RST instead of FIN.
+  void Reset() {
+    linger lg{1, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_LINGER, &lg, sizeof(lg));
+    Close();
   }
 
   bool Send(std::string_view bytes) {
@@ -592,6 +601,95 @@ TEST_F(NetServerTest, DrainCancelsParkedLockWaiter) {
   EXPECT_TRUE(waiter_returned.load());
   ExpectQuiescent();
   EXPECT_GE(protocol_->table().GetStats().cancelled, 1u);
+}
+
+/// Opens a transaction on `holder` that X-locks the first book (rename).
+void HoldFirstBook(Client* holder, uint16_t port, const BibInfo& info) {
+  ASSERT_TRUE(holder->Connect("127.0.0.1", port).ok());
+  ASSERT_TRUE(
+      holder->Begin(IsolationLevel::kRepeatable, 7, TxType::kRenameTopic)
+          .ok());
+  RemoteDom dom(holder);
+  auto book = dom.GetElementById(info.book_ids[0]);
+  ASSERT_TRUE(book.ok() && book->has_value());
+  ASSERT_TRUE(dom.DeclareUpdateIntent(**book).ok());
+  ASSERT_TRUE(dom.Rename(**book, "book").ok());
+}
+
+/// Begins on the raw connection, then sends a read of the first book that
+/// parks in LockTable::Lock() behind HoldFirstBook's X lock.
+void ParkRawWaiter(RawConn* conn, const BibInfo& info) {
+  ASSERT_TRUE(conn->ok());
+  ASSERT_TRUE(conn->Send(
+      EncodeFrame(static_cast<uint8_t>(MsgType::kBegin), 1, BeginPayload())));
+  FrameHeader header;
+  std::string payload;
+  ASSERT_TRUE(conn->RecvFrame(&header, &payload));
+  WireWriter w;
+  w.Str(info.book_ids[0]);
+  ASSERT_TRUE(conn->Send(EncodeFrame(
+      static_cast<uint8_t>(MsgType::kGetElementById), 2, w.str())));
+}
+
+int64_t ProcessCpuMicros() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<int64_t>(ts.tv_sec) * 1000000 + ts.tv_nsec / 1000;
+}
+
+TEST_F(NetServerTest, HalfClosedParkedWaiterDoesNotSpin) {
+  BuildEngine(/*wait_timeout=*/std::chrono::seconds(3));
+  StartServer();
+  Client holder;
+  HoldFirstBook(&holder, server_->port(), info_);
+  RawConn waiter(server_->port());
+  ParkRawWaiter(&waiter, info_);
+  SleepFor(Millis(200));  // let the request park
+
+  // FIN while the request waits: the fd is readable at EOF, but the
+  // session belongs to the parked worker, so nothing may poll it hot.
+  waiter.ShutdownWrite();
+  SleepFor(Millis(50));
+  const int64_t cpu_before = ProcessCpuMicros();
+  SleepFor(std::chrono::seconds(1));
+  const int64_t cpu_us = ProcessCpuMicros() - cpu_before;
+  EXPECT_LT(cpu_us, 200000) << "server burned " << cpu_us
+                            << " us of CPU in 1 s with one parked waiter";
+
+  // The wait still ends by its timeout, the answer still reaches the
+  // half-closed peer, and the session then closes on the EOF.
+  FrameHeader header;
+  std::string payload;
+  ASSERT_TRUE(waiter.RecvFrame(&header, &payload));
+  EXPECT_EQ(header.request_id, 2u);
+  EXPECT_TRUE(waiter.AwaitEof());
+  EXPECT_TRUE(holder.Commit().ok());
+  ExpectQuiescent();
+}
+
+TEST_F(NetServerTest, ResetWhileParkedCancelsTheWaiter) {
+  // Leases off and a long wait: only the reset can end the waiter early.
+  BuildEngine(/*wait_timeout=*/std::chrono::seconds(60));
+  StartServer();
+  Client holder;
+  HoldFirstBook(&holder, server_->port(), info_);
+  RawConn waiter(server_->port());
+  ParkRawWaiter(&waiter, info_);
+  SleepFor(Millis(200));  // let the request park
+
+  const TimePoint reset_at = Now();
+  waiter.Reset();
+  ASSERT_TRUE(PollUntil(
+      [&] { return protocol_->table().GetStats().cancelled >= 1; }));
+  ASSERT_TRUE(PollUntil([&] { return tm_->num_active() == 1; }));
+  EXPECT_TRUE(holder.Commit().ok());
+
+  // The competitor gets the same X lock: nothing of the waiter is left.
+  Client competitor;
+  HoldFirstBook(&competitor, server_->port(), info_);
+  EXPECT_TRUE(competitor.Commit().ok());
+  EXPECT_LT(ToMillis(Now() - reset_at), 10000);
+  ExpectQuiescent();
 }
 
 // --- Remote workload ------------------------------------------------------
